@@ -9,8 +9,9 @@
 // serial kernels + synchronous retraining versus the pooled kernels +
 // background retraining, an incremental-learning section (serial kernels
 // + §16 replay-ring refinement under a drifting PUT stream, with the
-// steady-state tail and refine-step counters), a batched (MultiPut) PUT
-// section,
+// steady-state tail and refine-step counters), a narrow-value section
+// (mixed widths padded memory-based for prediction, otherwise the serial
+// configuration), a batched (MultiPut) PUT section,
 // p50/p99/p99.9/max PUT and p50/p99/p99.9 GET latency (the same tail
 // grid as the serving benchmark's BENCH_net.json, so store-level and
 // wire-level tails line up), and heap allocations per PUT on the
@@ -31,6 +32,7 @@
 
 #include "bench/bench_util.h"
 #include "common/kernels.h"
+#include "core/padding.h"
 #include "core/sharded_store.h"
 #include "core/store.h"
 #include "placement/clusterer.h"
@@ -278,14 +280,28 @@ std::unique_ptr<core::E2KvStore> MakeOpsStore(const OpsParams& p,
 /// `incremental` the store runs the §16 replay-ring refinement pipeline
 /// and the PUT stream drifts (prototypes re-drawn twice, like the
 /// workload sweep's drift scenario) so the drift detector actually has
-/// something to refine against.
+/// something to refine against. With `narrow` the values cycle through
+/// widths {1/4, 1/2, 3/4, 1} of the segment and the engine pads them
+/// memory-based at the end for prediction (the e2bench churn_drift
+/// mix), so the section prices the padding and merge-write path.
 OpsResult RunOpsBench(size_t pool_threads, bool background_retrain,
-                      bool incremental = false) {
+                      bool incremental = false, bool narrow = false) {
   using Clock = std::chrono::steady_clock;
   const OpsParams p = MakeParams();
+  // Declared before the store, which borrows it.
+  core::Padder padder(core::PadType::kMemoryBased, core::PadLocation::kEnd,
+                      p.bits);
   workload::BitDataset ds;
   auto store =
       MakeOpsStore(p, pool_threads, background_retrain, &ds, incremental);
+  std::vector<BitVector> narrow_values;
+  if (narrow) {
+    store->engine().SetPadder(&padder, nullptr);
+    for (size_t i = 0; i < ds.items.size(); ++i) {
+      narrow_values.push_back(
+          ds.items[i].Slice(0, p.bits * (1 + i % 4) / 4));
+    }
+  }
 
   // Drift phases for the incremental section: same geometry, re-drawn
   // class prototypes (the Fig 17 drift scenario). Phase 0 reuses the
@@ -302,6 +318,7 @@ OpsResult RunOpsBench(size_t pool_threads, bool background_retrain,
     drift[1] = workload::MakeProtoDataset(pc);
   }
   auto value_at = [&](uint64_t i) -> const BitVector& {
+    if (narrow) return narrow_values[i % narrow_values.size()];
     if (incremental && i >= p.puts / 3) {
       const workload::BitDataset& d =
           i >= 2 * p.puts / 3 ? drift[1] : drift[0];
@@ -685,7 +702,8 @@ ShardedOpsResult RunShardedBench(size_t num_shards, size_t client_threads,
 
 void WriteOpsJson(const char* path, unsigned threads, size_t batch,
                   const OpsResult& serial, const OpsResult& pooled,
-                  const OpsResult& incremental, const OpsResult& batched,
+                  const OpsResult& incremental, const OpsResult& narrow,
+                  const OpsResult& batched,
                   size_t shards, size_t client_threads,
                   const ShardedOpsResult& sharded) {
   std::FILE* f = std::fopen(path, "w");
@@ -729,6 +747,10 @@ void WriteOpsJson(const char* path, unsigned threads, size_t batch,
   // section, showing drift answered by sub-ms refinement steps instead
   // of tens-of-ms full rebuilds (put_max_us_steady is the headline).
   emit("incremental_put", incremental);
+  // The serial section's store with mixed-width values padded
+  // memory-based: the narrow PUT's zero-alloc contract and its cost
+  // next to serial_sync_retrain's full-width PUT.
+  emit("narrow_put", narrow);
   // The batched section only measures the PUT stream: no keys for the
   // GET/DELETE/latency fields it never timed, instead of fake zeros a
   // reader could mistake for measurements.
@@ -836,6 +858,9 @@ int main(int argc, char** argv) {
     auto pooled = e2nvm::RunOpsBench(threads, true);
     // Serial + incremental learning under a drifting PUT stream (§16).
     auto incremental = e2nvm::RunOpsBench(0, false, /*incremental=*/true);
+    // Serial + mixed widths, memory-based padding.
+    auto narrow = e2nvm::RunOpsBench(0, false, /*incremental=*/false,
+                                     /*narrow=*/true);
     // Same configuration as the pooled section, so batched_put vs
     // pooled_background_retrain isolates what MultiPut itself buys.
     auto batched = e2nvm::RunBatchedBench(threads, true);
@@ -847,7 +872,8 @@ int main(int argc, char** argv) {
     auto sharded = e2nvm::RunShardedBench(kShards, kClients, threads);
     e2nvm::WriteOpsJson("BENCH_ops.json", threads,
                         e2nvm::MakeParams().batch, serial, pooled,
-                        incremental, batched, kShards, kClients, sharded);
+                        incremental, narrow, batched, kShards, kClients,
+                        sharded);
   }
   e2nvm::bench::PrintBanner(
       "BENCH_scaling", "shard-scaling curve: 1/2/4/8 shards x matching "

@@ -59,7 +59,7 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
   (cd "$perf_dir" && E2NVM_OPS_SMOKE=1 \
     ./bench/micro_ops --benchmark_filter='NoSuchBenchmark')
   for key in serial_sync_retrain pooled_background_retrain batched_put \
-             sharded_put incremental_put speedup_vs_pooled_put \
+             sharded_put incremental_put narrow_put speedup_vs_pooled_put \
              put_ops_per_s get_ops_per_s alloc_per_put \
              alloc_per_put_steady warmup_allocs retrain_allocs \
              refine_allocs refine_steps put_max_us_steady \

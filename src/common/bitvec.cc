@@ -64,30 +64,36 @@ BitVector BitVector::RotatedLeft(size_t k) const {
   return v;
 }
 
-BitVector BitVector::Slice(size_t start, size_t len) const {
-  assert(start + len <= num_bits_);
-  BitVector v(len);
-  for (size_t i = 0; i < len; ++i) {
-    if (Get(start + i)) v.Set(i, true);
+void BitVector::CopyBits(size_t dst_start, const BitVector& src,
+                         size_t src_start, size_t len) {
+  assert(&src != this);
+  assert(dst_start + len <= num_bits_);
+  assert(src_start + len <= src.num_bits_);
+  // Chunks end at the destination's word boundaries, so each SetBits
+  // stays within one word.
+  while (len > 0) {
+    const size_t take = std::min(len, 64 - (dst_start & 63));
+    SetBits(dst_start, src.GetBits(src_start, take), take);
+    dst_start += take;
+    src_start += take;
+    len -= take;
   }
+}
+
+BitVector BitVector::Slice(size_t start, size_t len) const {
+  BitVector v(len);
+  v.CopyBits(0, *this, start, len);
   return v;
 }
 
 void BitVector::Overlay(size_t start, const BitVector& other) {
-  assert(start + other.size() <= num_bits_);
-  for (size_t i = 0; i < other.size(); ++i) {
-    Set(start + i, other.Get(i));
-  }
+  CopyBits(start, other, 0, other.size());
 }
 
 BitVector BitVector::Concat(const BitVector& other) const {
   BitVector v(num_bits_ + other.num_bits_);
-  for (size_t i = 0; i < num_bits_; ++i) {
-    if (Get(i)) v.Set(i, true);
-  }
-  for (size_t i = 0; i < other.num_bits_; ++i) {
-    if (other.Get(i)) v.Set(num_bits_ + i, true);
-  }
+  v.CopyBits(0, *this, 0, num_bits_);
+  v.CopyBits(num_bits_, other, 0, other.num_bits_);
   return v;
 }
 

@@ -64,6 +64,14 @@ class BitVector {
     MaskTail();
   }
 
+  /// Resizes to `n` zero bits in place, reusing the word storage: once
+  /// the vector has reached its working width this allocates nothing
+  /// (the scratch-buffer reset of the padding and merge-write paths).
+  void AssignZeros(size_t n) {
+    num_bits_ = n;
+    words_.assign((n + 63) / 64, 0);
+  }
+
   /// Shrinks to the first `n` bits in place (n <= size()); never
   /// allocates. The read-into paths use this to cut a decoded segment
   /// down to the value width stored in it.
@@ -115,6 +123,25 @@ class BitVector {
   /// Returns this vector rotated left by `k` bit positions (used by
   /// MinShift-style schemes). Rotation is modulo size().
   BitVector RotatedLeft(size_t k) const;
+
+  /// Overwrites bits [dst_start, dst_start+len) with `src`'s bits
+  /// [src_start, src_start+len), a destination word at a time. Bits
+  /// outside the destination range are untouched; `src` must not be
+  /// *this. Slice, Overlay and Concat are built on it.
+  void CopyBits(size_t dst_start, const BitVector& src, size_t src_start,
+                size_t len);
+
+  /// Overwrites bits [start, start+n) with the low `n` bits of `bits`
+  /// (bit `start` takes bit 0); the range must lie within one word,
+  /// (start % 64) + n <= 64. The store CopyBits runs on, exposed for
+  /// generators that emit whole words of bits.
+  void SetBits(size_t start, uint64_t bits, size_t n) {
+    const size_t off = start & 63;
+    assert(off + n <= 64 && start + n <= num_bits_);
+    const uint64_t mask = LowMask(n) << off;
+    uint64_t& word = words_[start >> 6];
+    word = (word & ~mask) | ((bits << off) & mask);
+  }
 
   /// Extracts bits [start, start+len) into a new vector.
   BitVector Slice(size_t start, size_t len) const;
@@ -188,6 +215,21 @@ class BitVector {
   }
 
  private:
+  /// The low `n` bits set (n <= 64).
+  static uint64_t LowMask(size_t n) {
+    return n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+  }
+
+  /// Reads bits [start, start+n) as one word (bit `start` at bit 0);
+  /// n <= 64 and start + n <= size().
+  uint64_t GetBits(size_t start, size_t n) const {
+    const size_t w = start >> 6;
+    const size_t off = start & 63;
+    uint64_t bits = words_[w] >> off;
+    if (off != 0 && off + n > 64) bits |= words_[w + 1] << (64 - off);
+    return bits & LowMask(n);
+  }
+
   /// Zeroes bits beyond num_bits_ in the last word, preserving the invariant
   /// that unused tail bits are 0 (required for Popcount / equality).
   void MaskTail();

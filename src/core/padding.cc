@@ -1,6 +1,7 @@
 #include "core/padding.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/logging.h"
 
@@ -60,14 +61,6 @@ BitVector Padder::Assemble(const BitVector& input, const BitVector& pad,
   return input;
 }
 
-BitVector Padder::RandomPad(size_t q, double p, Rng& rng) {
-  BitVector pad(q);
-  for (size_t i = 0; i < q; ++i) {
-    if (rng.NextBernoulli(p)) pad.Set(i, true);
-  }
-  return pad;
-}
-
 BitVector Padder::LstmContinue(const BitVector& seed, size_t q,
                                ml::Lstm& lstm) {
   const size_t window =
@@ -99,89 +92,130 @@ BitVector Padder::LstmContinue(const BitVector& seed, size_t q,
   return pad;
 }
 
-StatusOr<BitVector> Padder::GeneratePad(const BitVector& input, size_t q,
-                                        const PaddingContext& ctx) const {
-  switch (type_) {
-    case PadType::kZero:
-      return BitVector(q);
-    case PadType::kOne: {
-      BitVector pad(q);
-      for (size_t i = 0; i < q; ++i) pad.Set(i, true);
-      return pad;
+StatusOr<BitVector> Padder::LearnedPad(const BitVector& input, size_t q,
+                                       const PaddingContext& ctx) const {
+  if (ctx.lstm == nullptr) {
+    return Status::InvalidArgument("learned padding needs an LSTM");
+  }
+  switch (location_) {
+    case PadLocation::kEnd:
+      return LstmContinue(input, q, *ctx.lstm);
+    case PadLocation::kBegin: {
+      // Generate as a continuation of the reversed data, then reverse
+      // back so the pad "leads into" the input. An approximation: the
+      // generator is trained on forward windows.
+      BitVector rev(input.size());
+      for (size_t i = 0; i < input.size(); ++i) {
+        rev.Set(i, input.Get(input.size() - 1 - i));
+      }
+      BitVector pad = LstmContinue(rev, q, *ctx.lstm);
+      BitVector out(q);
+      for (size_t i = 0; i < q; ++i) {
+        out.Set(i, pad.Get(q - 1 - i));
+      }
+      return out;
     }
-    case PadType::kRandom:
-      if (ctx.rng == nullptr) {
-        return Status::InvalidArgument("random padding needs an Rng");
-      }
-      return RandomPad(q, 0.5, *ctx.rng);
-    case PadType::kInputBased:
-      if (ctx.rng == nullptr) {
-        return Status::InvalidArgument("IB padding needs an Rng");
-      }
-      return RandomPad(q, OnesRatio(input), *ctx.rng);
-    case PadType::kDatasetBased:
-      if (ctx.rng == nullptr) {
-        return Status::InvalidArgument("DB padding needs an Rng");
-      }
-      return RandomPad(q, ctx.dataset_ones_ratio, *ctx.rng);
-    case PadType::kMemoryBased:
-      if (ctx.rng == nullptr) {
-        return Status::InvalidArgument("MB padding needs an Rng");
-      }
-      return RandomPad(q, ctx.memory_ones_ratio, *ctx.rng);
-    case PadType::kLearned: {
-      if (ctx.lstm == nullptr) {
-        return Status::InvalidArgument("learned padding needs an LSTM");
-      }
-      switch (location_) {
-        case PadLocation::kEnd:
-          return LstmContinue(input, q, *ctx.lstm);
-        case PadLocation::kBegin: {
-          // Generate as a continuation of the reversed data, then reverse
-          // back so the pad "leads into" the input. An approximation: the
-          // generator is trained on forward windows.
-          BitVector rev(input.size());
-          for (size_t i = 0; i < input.size(); ++i) {
-            rev.Set(i, input.Get(input.size() - 1 - i));
-          }
-          BitVector pad = LstmContinue(rev, q, *ctx.lstm);
-          BitVector out(q);
-          for (size_t i = 0; i < q; ++i) {
-            out.Set(i, pad.Get(q - 1 - i));
-          }
-          return out;
-        }
-        case PadLocation::kMiddle: {
-          size_t half = q / 2;
-          // Left half leads into the data (begin-style); right half
-          // continues it (end-style).
-          Padder begin_padder(PadType::kLearned, PadLocation::kBegin,
-                              model_dim_);
-          Padder end_padder(PadType::kLearned, PadLocation::kEnd,
-                            model_dim_);
-          E2_ASSIGN_OR_RETURN(BitVector left,
-                              begin_padder.GeneratePad(input, half, ctx));
-          E2_ASSIGN_OR_RETURN(
-              BitVector right,
-              end_padder.GeneratePad(input, q - half, ctx));
-          return left.Concat(right);
-        }
-      }
-      return Status::Internal("unreachable padding location");
+    case PadLocation::kMiddle: {
+      size_t half = q / 2;
+      // Left half leads into the data (begin-style); right half
+      // continues it (end-style).
+      Padder begin_padder(PadType::kLearned, PadLocation::kBegin,
+                          model_dim_);
+      Padder end_padder(PadType::kLearned, PadLocation::kEnd, model_dim_);
+      E2_ASSIGN_OR_RETURN(BitVector left,
+                          begin_padder.LearnedPad(input, half, ctx));
+      E2_ASSIGN_OR_RETURN(BitVector right,
+                          end_padder.LearnedPad(input, q - half, ctx));
+      return left.Concat(right);
     }
   }
-  return Status::Internal("unknown padding type");
+  return Status::Internal("unreachable padding location");
+}
+
+namespace {
+
+/// Writes next_bit() into bits [begin, end) of `out`, lowest bit first,
+/// packing one destination word per SetBits.
+template <typename NextBit>
+void FillBits(size_t begin, size_t end, NextBit next_bit, BitVector* out) {
+  while (begin < end) {
+    const size_t take = std::min(end - begin, 64 - (begin & 63));
+    uint64_t word = 0;
+    for (size_t i = 0; i < take; ++i) {
+      word |= uint64_t{next_bit()} << i;
+    }
+    out->SetBits(begin, word, take);
+    begin += take;
+  }
+}
+
+}  // namespace
+
+Status Padder::PadInto(const BitVector& input, const PaddingContext& ctx,
+                       BitVector* out) const {
+  const size_t n = input.size();
+  if (n > model_dim_) {
+    return Status::InvalidArgument("input wider than the model");
+  }
+  const size_t q = model_dim_ - n;
+  if (q > 0 && type_ == PadType::kLearned) {
+    E2_ASSIGN_OR_RETURN(BitVector pad, LearnedPad(input, q, ctx));
+    *out = Assemble(input, pad, location_);
+    return Status::Ok();
+  }
+  // Pad-bit probability of the Bernoulli strategies (§4.1.1-4.1.2).
+  double p = 0.0;
+  bool bernoulli = true;
+  switch (type_) {
+    case PadType::kRandom:
+      p = 0.5;
+      break;
+    case PadType::kInputBased:
+      p = OnesRatio(input);
+      break;
+    case PadType::kDatasetBased:
+      p = ctx.dataset_ones_ratio;
+      break;
+    case PadType::kMemoryBased:
+      p = ctx.memory_ones_ratio;
+      break;
+    case PadType::kZero:
+    case PadType::kOne:
+    case PadType::kLearned:
+      bernoulli = false;
+      break;
+  }
+  if (q > 0 && bernoulli && ctx.rng == nullptr) {
+    return Status::InvalidArgument(std::string(PadTypeName(type_)) +
+                                   " padding needs an Rng");
+  }
+  // Fig 5 layouts: the pad before the input, split around it (first
+  // half before), or after it. Pad index order is output order, so
+  // filling [0, data_at) then [data_at + n, model_dim) draws the bits in
+  // the same order as generating the whole pad first.
+  const size_t data_at = location_ == PadLocation::kBegin    ? q
+                         : location_ == PadLocation::kMiddle ? q / 2
+                                                             : 0;
+  out->AssignZeros(model_dim_);
+  out->CopyBits(data_at, input, 0, n);
+  auto fill = [&](auto next_bit) {
+    FillBits(0, data_at, next_bit, out);
+    FillBits(data_at + n, model_dim_, next_bit, out);
+  };
+  if (type_ == PadType::kOne) {
+    fill([] { return true; });
+  } else if (bernoulli) {
+    Rng* rng = ctx.rng;  // Null only when there is nothing to fill.
+    fill([rng, p] { return rng->NextBernoulli(p); });
+  }
+  return Status::Ok();
 }
 
 StatusOr<BitVector> Padder::Pad(const BitVector& input,
                                 const PaddingContext& ctx) const {
-  if (input.size() > model_dim_) {
-    return Status::InvalidArgument("input wider than the model");
-  }
-  if (input.size() == model_dim_) return input;
-  size_t q = model_dim_ - input.size();
-  E2_ASSIGN_OR_RETURN(BitVector pad, GeneratePad(input, q, ctx));
-  return Assemble(input, pad, location_);
+  BitVector out;
+  E2_RETURN_IF_ERROR(PadInto(input, ctx, &out));
+  return out;
 }
 
 StatusOr<std::unique_ptr<ml::Lstm>> TrainPaddingLstm(

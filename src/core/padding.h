@@ -63,9 +63,20 @@ class Padder {
 
   /// Returns a model_dim-wide vector embedding `input` at the configured
   /// location with generated padding around it. Fails if the input is
-  /// wider than the model.
+  /// wider than the model. A thin allocating wrapper over PadInto.
   StatusOr<BitVector> Pad(const BitVector& input,
                           const PaddingContext& ctx) const;
+
+  /// Pad into a caller-owned buffer (capacity reused): the input is
+  /// copied word-wise to its slot and the pad bits are generated a word
+  /// at a time straight into their final positions, so once `out` has
+  /// reached model_dim bits the universal strategies allocate nothing.
+  /// Random/IB/DB/MB take exactly one ctx.rng->NextBernoulli per pad
+  /// bit, in pad order (the bits before the input, then the bits after
+  /// it); zero/one padding and a full-width input take none. Learned
+  /// padding keeps an allocating path. On error `out` is left unchanged.
+  Status PadInto(const BitVector& input, const PaddingContext& ctx,
+                 BitVector* out) const;
 
   /// Places `pad` around `input` per `location` (exposed for tests that
   /// check Fig 5's layouts). For kMiddle the pad is split in half,
@@ -74,12 +85,9 @@ class Padder {
                             PadLocation location);
 
  private:
-  /// Generates `q` padding bits for `input` under this strategy.
-  StatusOr<BitVector> GeneratePad(const BitVector& input, size_t q,
-                                  const PaddingContext& ctx) const;
-
-  /// Bernoulli(`p`) padding bits.
-  static BitVector RandomPad(size_t q, double p, Rng& rng);
+  /// Generates `q` learned (LSTM) padding bits for `input`.
+  StatusOr<BitVector> LearnedPad(const BitVector& input, size_t q,
+                                 const PaddingContext& ctx) const;
 
   /// LSTM continuation of `seed_bits` for `q` bits.
   static BitVector LstmContinue(const BitVector& seed, size_t q,

@@ -151,13 +151,10 @@ Status PlacementEngine::ExtendRegion(size_t extra) {
   if (start + extra > ctrl_->num_logical()) {
     return Status::OutOfRange("extension exceeds the controller's space");
   }
-  const size_t dim = ctrl_->segment_bits();
+  std::vector<float> feats(ctrl_->segment_bits());
   for (size_t i = 0; i < extra; ++i) {
-    BitVector bits = ctrl_->Peek(start + i);
-    std::vector<float> feats(dim);
-    for (size_t d = 0; d < dim; ++d) {
-      feats[d] = bits.Get(d) ? 1.0f : 0.0f;
-    }
+    ctrl_->PeekInto(start + i, &peek_scratch_);
+    peek_scratch_.AppendFloatsTo(feats.data());
     ChargePrediction();
     pool_.Insert(clusterer_->PredictCluster(feats), start + i);
   }
@@ -197,12 +194,19 @@ Status PlacementEngine::FeaturizeInto(const BitVector& value, float* out) {
     value.AppendFloatsTo(out);
     return Status::Ok();
   }
-  E2_ASSIGN_OR_RETURN(BitVector padded, PadForModel(value));
-  padded.AppendFloatsTo(out);
+  E2_RETURN_IF_ERROR(PadForModelInto(value, &pad_scratch_));
+  pad_scratch_.AppendFloatsTo(out);
   return Status::Ok();
 }
 
 StatusOr<BitVector> PlacementEngine::PadForModel(const BitVector& value) {
+  BitVector padded;
+  E2_RETURN_IF_ERROR(PadForModelInto(value, &padded));
+  return padded;
+}
+
+Status PlacementEngine::PadForModelInto(const BitVector& value,
+                                        BitVector* out) {
   PaddingContext ctx;
   ctx.dataset_ones_ratio =
       seen_bits_ ? static_cast<double>(seen_ones_) /
@@ -211,12 +215,13 @@ StatusOr<BitVector> PlacementEngine::PadForModel(const BitVector& value) {
   // Memory-based ratio: density of the whole managed region's cells.
   uint64_t mem_ones = 0;
   uint64_t mem_bits = 0;
-  // Sample up to 64 segments to keep the estimate cheap.
+  // Sample every stride-th segment (up to 127 of them) to keep the
+  // estimate cheap.
   size_t stride = std::max<size_t>(1, config_.num_segments / 64);
   for (size_t i = 0; i < config_.num_segments; i += stride) {
-    BitVector bits = ctrl_->Peek(config_.first_segment + i);
-    mem_ones += bits.Popcount();
-    mem_bits += bits.size();
+    ctrl_->PeekInto(config_.first_segment + i, &peek_scratch_);
+    mem_ones += peek_scratch_.Popcount();
+    mem_bits += peek_scratch_.size();
   }
   ctx.memory_ones_ratio =
       mem_bits ? static_cast<double>(mem_ones) /
@@ -224,7 +229,7 @@ StatusOr<BitVector> PlacementEngine::PadForModel(const BitVector& value) {
                : 0.5;
   ctx.lstm = pad_lstm_;
   ctx.rng = &pad_rng_;
-  return padder_->Pad(value, ctx);
+  return padder_->PadInto(value, ctx, out);
 }
 
 void PlacementEngine::ChargePrediction() {
@@ -333,7 +338,7 @@ StatusOr<uint64_t> PlacementEngine::PlaceAt(const BitVector& value,
     // The scratch result's stored image reuses its capacity across
     // placements, keeping the steady-state PUT path off the heap.
     nvm::WriteResult& r = write_scratch_;
-    index::MergeWriteInto(*ctrl_, *addr, value, &r);
+    index::MergeWriteInto(*ctrl_, *addr, value, &merge_scratch_, &r);
     stats_.write_retries += r.verify_retries;
     if (r.verify_failed) {
       // The controller quarantined this segment; its cells may hold a
@@ -691,7 +696,8 @@ void PlacementEngine::ReadInto(uint64_t addr, size_t bits, BitVector* out) {
 }
 
 Status PlacementEngine::WriteAt(uint64_t addr, const BitVector& value) {
-  index::MergeWriteInto(*ctrl_, addr, value, &write_scratch_);
+  index::MergeWriteInto(*ctrl_, addr, value, &merge_scratch_,
+                        &write_scratch_);
   // The content changed behind the placement memo.
   if (addr >= config_.first_segment &&
       addr - config_.first_segment < placed_cluster_.size()) {

@@ -261,8 +261,12 @@ class PlacementEngine : public index::ValuePlacer {
   /// counter updates and padding decisions; the full-width and
   /// zero-extend paths write the floats directly.
   Status FeaturizeInto(const BitVector& value, float* out);
-  /// The padding slow path shared by Featurize/FeaturizeInto: builds the
-  /// PaddingContext (dataset/memory 1-ratios, LSTM, RNG) and pads.
+  /// The padding step of FeaturizeInto: builds the PaddingContext
+  /// (dataset/memory 1-ratios, LSTM, RNG) and pads `value` into `out`.
+  /// The memory 1-ratio samples segments through peek_scratch_, so with
+  /// a universal padder this allocates nothing once `out` is warm.
+  Status PadForModelInto(const BitVector& value, BitVector* out);
+  /// Allocating PadForModelInto for the reference Featurize path.
   StatusOr<BitVector> PadForModel(const BitVector& value);
   /// Predicts `value`'s cluster through the configured inference path
   /// (scratch fast path or reference), with Place's degraded-mode
@@ -333,9 +337,15 @@ class PlacementEngine : public index::ValuePlacer {
   // its heap capacity, so steady-state placements never allocate
   // (guarded by the engine's single-caller contract above).
   nvm::WriteResult write_scratch_;
-  // Reused buffer for Release's memo-miss content peeks (same
-  // single-caller contract as the scratches above).
+  // Reused buffer for Release's memo-miss content peeks and the
+  // memory-based padding sample (same single-caller contract as the
+  // scratches above).
   BitVector peek_scratch_;
+  // Model-width padded value of a narrow Place (FeaturizeInto), and the
+  // merged segment image of a narrow write (MergeWriteInto): both reuse
+  // their capacity, so narrow PUTs stay off the heap too.
+  BitVector pad_scratch_;
+  BitVector merge_scratch_;
   // Incremental learning (§16): the replay ring of committed segment
   // images (capacity 0 unless configured) and the reused mini-batch
   // staging matrix RefineStep copies ring rows into.

@@ -15,22 +15,24 @@ Status ValuePlacer::PlaceMany(const std::vector<const BitVector*>& values,
 
 nvm::WriteResult MergeWrite(nvm::MemoryController& ctrl, uint64_t addr,
                             const BitVector& value) {
+  BitVector merge;
   nvm::WriteResult r;
-  MergeWriteInto(ctrl, addr, value, &r);
+  MergeWriteInto(ctrl, addr, value, &merge, &r);
   return r;
 }
 
 void MergeWriteInto(nvm::MemoryController& ctrl, uint64_t addr,
-                    const BitVector& value, nvm::WriteResult* out) {
+                    const BitVector& value, BitVector* merge,
+                    nvm::WriteResult* out) {
   E2_CHECK(value.size() <= ctrl.segment_bits(),
            "value wider than a segment");
   if (value.size() == ctrl.segment_bits()) {
     ctrl.WriteInto(addr, value, out);
     return;
   }
-  BitVector full = ctrl.Peek(addr);
-  full.Overlay(0, value);
-  ctrl.WriteInto(addr, full, out);
+  ctrl.PeekInto(addr, merge);
+  merge->Overlay(0, value);
+  ctrl.WriteInto(addr, *merge, out);
 }
 
 ArbitraryPlacer::ArbitraryPlacer(nvm::MemoryController* ctrl,

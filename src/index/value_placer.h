@@ -80,11 +80,14 @@ class ArbitraryPlacer : public ValuePlacer {
 nvm::WriteResult MergeWrite(nvm::MemoryController& ctrl, uint64_t addr,
                             const BitVector& value);
 
-/// MergeWrite into a caller-owned scratch result: the full-width case —
-/// the PUT fast path — runs allocation-free (WriteScheme::WriteInto
-/// reuse contract); the narrow case still peeks/overlays a temporary.
+/// MergeWrite into caller-owned scratch: a narrow value is merged into
+/// `merge` (the segment's peeked content, capacity reused) and the
+/// result commits into `out` (WriteScheme::WriteInto reuse contract), so
+/// once both are warm neither the full-width nor the narrow case
+/// allocates. `merge` is untouched for a full-width value.
 void MergeWriteInto(nvm::MemoryController& ctrl, uint64_t addr,
-                    const BitVector& value, nvm::WriteResult* out);
+                    const BitVector& value, BitVector* merge,
+                    nvm::WriteResult* out);
 
 }  // namespace e2nvm::index
 

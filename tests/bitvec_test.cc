@@ -170,6 +170,133 @@ TEST(BitVectorTest, EqualityRespectsSizeAndBits) {
   EXPECT_FALSE(a == c);
 }
 
+// --- Word-level CopyBits/Slice/Overlay/Concat vs a bit-at-a-time oracle.
+
+/// Random vector of `n` bits with a per-size seed.
+BitVector RandomBits(size_t n, uint64_t seed) {
+  Rng rng(seed * 0x9E37 + n);
+  BitVector v(n);
+  v.Randomize(rng);
+  return v;
+}
+
+/// The oracle: dst with bits [d, d+len) replaced by src's [s, s+len),
+/// one Get/Set at a time.
+BitVector OracleCopy(BitVector dst, size_t d, const BitVector& src,
+                     size_t s, size_t len) {
+  for (size_t i = 0; i < len; ++i) dst.Set(d + i, src.Get(s + i));
+  return dst;
+}
+
+/// Equality plus the tail-bit invariant: a stray bit past size() would
+/// make Popcount (and ==) disagree with the oracle's.
+bool SameBits(const BitVector& got, const BitVector& want) {
+  return got == want && got.Popcount() == want.Popcount();
+}
+
+TEST(BitVectorCopyBitsTest, EveryOffsetAndLengthMatchesOracle) {
+  // All (dst offset, src offset, length) over 200-bit vectors: chunks
+  // that start, end or straddle any of the four words, plus len 0.
+  constexpr size_t kN = 200;
+  const BitVector src = RandomBits(kN, 1);
+  const BitVector base = RandomBits(kN, 2);
+  size_t cases = 0;
+  for (size_t d = 0; d <= kN; ++d) {
+    for (size_t s = 0; s <= kN; ++s) {
+      for (size_t len = 0; d + len <= kN && s + len <= kN; ++len) {
+        BitVector got = base;
+        got.CopyBits(d, src, s, len);
+        ++cases;
+        if (!SameBits(got, OracleCopy(base, d, src, s, len))) {
+          FAIL() << "CopyBits(d=" << d << ", s=" << s << ", len=" << len
+                 << ")";
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 2000000u);
+}
+
+TEST(BitVectorCopyBitsTest, WordBoundaryLengthsAcrossSizes) {
+  // Lengths 0, 63, 64, 65 (and the whole source) at every destination
+  // offset, from word-edge source offsets, for every source size up to
+  // 200 bits; the destination is 7 bits longer so tails of both shapes
+  // are exercised.
+  for (size_t n = 0; n <= 200; ++n) {
+    const BitVector src = RandomBits(n, 3);
+    const BitVector base = RandomBits(n + 7, 4);
+    for (size_t len : {size_t{0}, size_t{63}, size_t{64}, size_t{65}, n}) {
+      if (len > n) continue;
+      for (size_t d = 0; d + len <= base.size(); ++d) {
+        for (size_t s : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                         size_t{65}, n - len}) {
+          if (s + len > n) continue;
+          BitVector got = base;
+          got.CopyBits(d, src, s, len);
+          if (!SameBits(got, OracleCopy(base, d, src, s, len))) {
+            FAIL() << "n=" << n << " CopyBits(d=" << d << ", s=" << s
+                   << ", len=" << len << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BitVectorCopyBitsTest, SliceOverlayConcatMatchOracle) {
+  std::vector<BitVector> patches;
+  for (size_t len = 0; len <= 200; ++len) {
+    patches.push_back(RandomBits(len, 6));
+  }
+  for (size_t n = 0; n <= 200; ++n) {
+    const BitVector v = RandomBits(n, 5);
+    const BitVector ones = BitVector(n).Inverted();
+    for (size_t start = 0; start <= n; ++start) {
+      for (size_t len = 0; start + len <= n; ++len) {
+        // Slice: a fresh len-bit vector of v's [start, start+len).
+        if (!SameBits(v.Slice(start, len),
+                      OracleCopy(BitVector(len), 0, v, start, len))) {
+          FAIL() << "n=" << n << " Slice(" << start << ", " << len << ")";
+        }
+        // Overlay a len-bit vector at start onto all-ones (so a
+        // cleared bit outside the range would show).
+        const BitVector& patch = patches[len];
+        BitVector got = ones;
+        got.Overlay(start, patch);
+        if (!SameBits(got, OracleCopy(ones, start, patch, 0, len))) {
+          FAIL() << "n=" << n << " Overlay(" << start << ", len " << len
+                 << ")";
+        }
+      }
+    }
+    for (size_t m = 0; m <= 200; m += (m < 70 ? 1 : 13)) {
+      const BitVector w = RandomBits(m, 7);
+      BitVector want(n + m);
+      want = OracleCopy(OracleCopy(want, 0, v, 0, n), n, w, 0, m);
+      if (!SameBits(v.Concat(w), want)) {
+        FAIL() << "Concat(" << n << ", " << m << ")";
+      }
+    }
+  }
+}
+
+TEST(BitVectorCopyBitsTest, SetBitsAndAssignZeros) {
+  BitVector v(130);
+  v.SetBits(60, ~uint64_t{0}, 4);  // The top of word 0 only.
+  EXPECT_EQ(v.Popcount(), 4u);
+  for (size_t i = 60; i < 64; ++i) EXPECT_TRUE(v.Get(i)) << i;
+  v.SetBits(64, ~uint64_t{0}, 64);  // A whole word.
+  EXPECT_EQ(v.Popcount(), 68u);
+  v.SetBits(66, 0, 62);  // Clears all but the bottom two bits of word 1.
+  EXPECT_EQ(v.Popcount(), 6u);
+  v.SetBits(128, ~uint64_t{0}, 2);  // The last two bits; tail stays 0.
+  EXPECT_EQ(v.Popcount(), 8u);
+  v.AssignZeros(70);
+  EXPECT_EQ(v, BitVector(70));
+  v.AssignZeros(130);
+  EXPECT_EQ(v, BitVector(130));
+}
+
 class BitVectorSizeTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(BitVectorSizeTest, PopcountMatchesManualCount) {

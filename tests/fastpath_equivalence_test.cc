@@ -2,14 +2,17 @@
 // fused k-means assignment, batched PlaceMany, Release cluster memo)
 // with the allocating reference path: identical placement addresses,
 // cluster ids, and device flip counts for the same PUT stream — the
-// fast path is an optimization, never a behavior change. Also pins the
-// zero-allocation contract of steady-state prediction.
+// fast path is an optimization, never a behavior change — with and
+// without memory-based padding of narrow values. Also pins the
+// zero-allocation contract of steady-state prediction and PUTs.
 
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/padding.h"
 #include "core/store.h"
 #include "workload/datasets.h"
 
@@ -241,13 +244,38 @@ TEST(FastPathEquivalence, SteadyStatePredictionIsAllocationFree) {
   EXPECT_GT(t_alloc_count, before);
 }
 
-TEST(FastPathEquivalence, SteadyStatePutsAreAllocationFree) {
-  // The full PUT pipeline — placement inference, DAP acquire, DCW write,
-  // index update, old-address recycling, retrain-window accounting —
-  // must stay off the heap once every scratch buffer and ring has grown
-  // to its working size. auto_retrain stays off: a retrain legitimately
-  // rebuilds the model and repopulates the pool, which allocates.
-  auto ds = ClusteredData(19);
+TEST(FastPathEquivalence, PaddedNarrowPutsMatchReference) {
+  // Memory-based padding over mixed widths {1/4, 1/2, 3/4, 1}: features
+  // depend on the live memory image and the padding RNG, so both paths
+  // must sample the same segments and draw the same pad bits in the same
+  // order to land every value at the same address.
+  auto ds = ClusteredData(23);
+  for (auto loc : {PadLocation::kBegin, PadLocation::kMiddle,
+                   PadLocation::kEnd}) {
+    Padder padder(PadType::kMemoryBased, loc, kBits);
+    auto ref = MakeStore(ds, /*reference=*/true);
+    auto fast = MakeStore(ds, /*reference=*/false);
+    ref->engine().SetPadder(&padder, nullptr);
+    fast->engine().SetPadder(&padder, nullptr);
+    for (uint64_t i = 0; i < 300; ++i) {
+      const size_t width = kBits * (1 + i % 4) / 4;
+      BitVector v = ds.items[i % ds.items.size()].Slice(0, width);
+      ASSERT_TRUE(ref->Put(i % kKeys, v).ok());
+      ASSERT_TRUE(fast->Put(i % kKeys, v).ok());
+    }
+    const std::string where(PadLocationName(loc));
+    SCOPED_TRACE(where);
+    ExpectSame(ObserveStore(*ref), ObserveStore(*fast));
+    EXPECT_EQ(ref->engine().stats().retrains,
+              fast->engine().stats().retrains);
+    EXPECT_GT(fast->engine().stats().retrains, 0u);
+  }
+}
+
+/// A store for the allocation audits: auto_retrain stays off, because a
+/// retrain legitimately rebuilds the model and repopulates the pool,
+/// which allocates.
+std::unique_ptr<E2KvStore> MakeSteadyStore(const workload::BitDataset& ds) {
   StoreConfig sc;
   sc.num_segments = kSegments;
   sc.segment_bits = kBits;
@@ -256,10 +284,20 @@ TEST(FastPathEquivalence, SteadyStatePutsAreAllocationFree) {
   sc.model.finetune_rounds = 1;
   sc.auto_retrain = false;
   auto store_or = E2KvStore::Create(sc);
-  ASSERT_TRUE(store_or.ok());
+  EXPECT_TRUE(store_or.ok());
   auto store = std::move(*store_or);
   store->Seed(ds);
-  ASSERT_TRUE(store->Bootstrap().ok());
+  EXPECT_TRUE(store->Bootstrap().ok());
+  return store;
+}
+
+TEST(FastPathEquivalence, SteadyStatePutsAreAllocationFree) {
+  // The full PUT pipeline — placement inference, DAP acquire, DCW write,
+  // index update, old-address recycling, retrain-window accounting —
+  // must stay off the heap once every scratch buffer and ring has grown
+  // to its working size.
+  auto ds = ClusteredData(19);
+  auto store = MakeSteadyStore(ds);
 
   // Warm up: grow inference scratch, WriteResult buffers, free-list
   // rings, and the retrain window to steady-state capacity.
@@ -291,6 +329,34 @@ TEST(FastPathEquivalence, SteadyStatePutsAreAllocationFree) {
   }
   EXPECT_EQ(t_alloc_count - before, 0u)
       << "steady-state MultiPut allocated on the heap";
+}
+
+TEST(FastPathEquivalence, SteadyStateNarrowPutsAreAllocationFree) {
+  // The same contract for narrow values under memory-based padding: the
+  // memory sample, the padded features and the merge-write all run in
+  // engine-owned scratch. Values are sliced before the audit so only
+  // the store's work is counted.
+  auto ds = ClusteredData(37);
+  std::vector<BitVector> values;
+  for (size_t i = 0; i < ds.items.size(); ++i) {
+    values.push_back(ds.items[i].Slice(0, kBits * (1 + i % 3) / 4));
+  }
+  for (auto loc : {PadLocation::kBegin, PadLocation::kMiddle,
+                   PadLocation::kEnd}) {
+    Padder padder(PadType::kMemoryBased, loc, kBits);
+    auto store = MakeSteadyStore(ds);
+    store->engine().SetPadder(&padder, nullptr);
+    for (uint64_t i = 0; i < 400; ++i) {
+      ASSERT_TRUE(store->Put(i % kKeys, values[i % values.size()]).ok());
+    }
+    uint64_t before = t_alloc_count;
+    for (uint64_t i = 0; i < 200; ++i) {
+      ASSERT_TRUE(store->Put(i % kKeys, values[i % values.size()]).ok());
+    }
+    EXPECT_EQ(t_alloc_count - before, 0u)
+        << "steady-state narrow Put allocated on the heap ("
+        << PadLocationName(loc) << " padding)";
+  }
 }
 
 }  // namespace

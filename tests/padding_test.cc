@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ml/kmeans.h"
 #include "workload/datasets.h"
 
@@ -111,6 +113,108 @@ TEST(PaddingTest, DatasetAndMemoryBasedUseContextRatios) {
 TEST(PaddingTest, OnesRatioHelper) {
   EXPECT_DOUBLE_EQ(OnesRatio(BitVector::FromString("1100")), 0.5);
   EXPECT_DOUBLE_EQ(OnesRatio(BitVector()), 0.5);  // Neutral default.
+}
+
+// --- PadInto vs the composition it replaces: a whole Bernoulli pad
+// drawn first, then Assemble'd around the input.
+
+/// The reference padder: generate all q pad bits bit-by-bit in pad
+/// order, then place them with Assemble (Fig 5).
+BitVector ReferencePad(PadType type, PadLocation loc, size_t dim,
+                       const BitVector& input, const PaddingContext& ctx) {
+  if (input.size() == dim) return input;
+  const size_t q = dim - input.size();
+  BitVector pad(q);
+  double p = 0.0;
+  switch (type) {
+    case PadType::kZero:
+      return Padder::Assemble(input, pad, loc);
+    case PadType::kOne:
+      for (size_t i = 0; i < q; ++i) pad.Set(i, true);
+      return Padder::Assemble(input, pad, loc);
+    case PadType::kRandom:
+      p = 0.5;
+      break;
+    case PadType::kInputBased:
+      p = OnesRatio(input);
+      break;
+    case PadType::kDatasetBased:
+      p = ctx.dataset_ones_ratio;
+      break;
+    case PadType::kMemoryBased:
+      p = ctx.memory_ones_ratio;
+      break;
+    case PadType::kLearned:
+      ADD_FAILURE() << "no reference for learned padding";
+      return input;
+  }
+  for (size_t i = 0; i < q; ++i) pad.Set(i, ctx.rng->NextBernoulli(p));
+  return Padder::Assemble(input, pad, loc);
+}
+
+TEST(PaddingTest, PadIntoMatchesAssembledReference) {
+  const PadType kTypes[] = {PadType::kZero,         PadType::kOne,
+                            PadType::kRandom,       PadType::kInputBased,
+                            PadType::kDatasetBased, PadType::kMemoryBased};
+  Rng data_rng(21);
+  for (size_t dim : {size_t{256}, size_t{300}}) {
+    for (PadType type : kTypes) {
+      for (auto loc : {PadLocation::kBegin, PadLocation::kMiddle,
+                       PadLocation::kEnd}) {
+        Padder padder(type, loc, dim);
+        BitVector out;  // Reused across widths, as the engine reuses it.
+        for (size_t width : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                             size_t{65}, size_t{127}, dim - 1, dim}) {
+          BitVector input(width);
+          input.Randomize(data_rng);
+          // Two generators on the same stream: the reference and PadInto
+          // must consume exactly the same draws.
+          const uint64_t seed = dim * 1000 + width;
+          Rng ref_rng(seed), rng(seed);
+          PaddingContext ref_ctx;
+          ref_ctx.dataset_ones_ratio = 0.7;
+          ref_ctx.memory_ones_ratio = 0.2;
+          ref_ctx.rng = &ref_rng;
+          PaddingContext ctx = ref_ctx;
+          ctx.rng = &rng;
+          const BitVector want = ReferencePad(type, loc, dim, input, ref_ctx);
+          ASSERT_TRUE(padder.PadInto(input, ctx, &out).ok());
+          const std::string where =
+              std::string(PadTypeName(type)) + "/" +
+              std::string(PadLocationName(loc)) +
+              " dim=" + std::to_string(dim) +
+              " width=" + std::to_string(width);
+          EXPECT_EQ(out, want) << where;
+          EXPECT_EQ(out.Popcount(), want.Popcount()) << where;
+          EXPECT_EQ(rng.NextU64(), ref_rng.NextU64())
+              << where << ": draw count differs";
+          // Pad() is the allocating wrapper of the same computation.
+          Rng pad_rng(seed);
+          ctx.rng = &pad_rng;
+          auto padded = padder.Pad(input, ctx);
+          ASSERT_TRUE(padded.ok()) << where;
+          EXPECT_EQ(*padded, want) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(PaddingTest, PadIntoFullWidthNeedsNoGenerator) {
+  PaddingContext ctx;  // No rng, no LSTM.
+  BitVector out = BitVector::FromString("1");
+  // An error leaves `out` unchanged.
+  EXPECT_EQ(Padder(PadType::kMemoryBased, PadLocation::kMiddle, 8)
+                .PadInto(BitVector(4), ctx, &out)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(out.ToString(), "1");
+  // A full-width input draws nothing, so it passes through.
+  BitVector full = BitVector::FromString("10110010");
+  ASSERT_TRUE(Padder(PadType::kMemoryBased, PadLocation::kBegin, 8)
+                  .PadInto(full, ctx, &out)
+                  .ok());
+  EXPECT_EQ(out, full);
 }
 
 TEST(PaddingTest, LearnedNeedsLstm) {
