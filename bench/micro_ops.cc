@@ -113,21 +113,32 @@ void BM_VaeEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_VaeEncode)->Arg(512)->Arg(2048)->Arg(8192);
 
-void BM_VaeEncodeScratch(benchmark::State& state) {
-  size_t dim = static_cast<size_t>(state.range(0));
+void BM_VaeEncodeBits(benchmark::State& state) {
+  // The PUT's encode: the write-path geometry (hidden 128, latent 10)
+  // fed a different value every call. 4096 distinct proto-dataset values
+  // are cycled, so the set-bit walk cannot settle into one branch
+  // pattern the way a repeated input lets it.
+  const size_t dim = static_cast<size_t>(state.range(0));
   ml::VaeConfig cfg;
   cfg.input_dim = dim;
-  cfg.hidden_dim = 64;
+  cfg.hidden_dim = 128;
   cfg.latent_dim = 10;
   ml::Vae vae(cfg);
-  ml::Matrix x(1, dim), hidden, mu;
-  for (auto& v : x.data()) v = 0.5f;
+  workload::ProtoConfig pc;
+  pc.dim = dim;
+  pc.num_classes = 10;
+  pc.samples = 4096;
+  pc.seed = 5;
+  const auto ds = workload::MakeProtoDataset(pc);
+  ml::Matrix hidden, mu;
+  size_t i = 0;
   for (auto _ : state) {
-    vae.EncodeMuInto(x, &hidden, &mu);
+    const BitVector& v = ds.items[i++ % ds.items.size()];
+    vae.EncodeMuInto(v.words().data(), 1, &hidden, &mu);
     benchmark::DoNotOptimize(mu.data().data());
   }
 }
-BENCHMARK(BM_VaeEncodeScratch)->Arg(512)->Arg(2048)->Arg(8192);
+BENCHMARK(BM_VaeEncodeBits)->Arg(512)->Arg(2048);
 
 void BM_KMeansPredict(benchmark::State& state) {
   size_t dim = static_cast<size_t>(state.range(0));

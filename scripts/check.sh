@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure, build, and run the test suite — fast `unit`
-# label first, then the long-running `stress` label, then (unless
-# SKIP_SANITIZE=1) again under ASan+UBSan, and finally the concurrency
-# tests under TSan, via the E2NVM_SANITIZE CMake option. Ends with a
-# per-test timing summary of the plain run. Run from anywhere inside
-# the repo.
+# label first (native, forced-AVX2 and forced-scalar kernel tiers),
+# then the long-running `stress` label, then (unless SKIP_SANITIZE=1)
+# again under ASan+UBSan, and finally the concurrency tests under TSan,
+# via the E2NVM_SANITIZE CMake option. Ends with a per-test timing
+# summary of the plain run. Run from anywhere inside the repo.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -30,6 +30,11 @@ echo "== plain build =="
 build_tree "$repo_root/build"
 echo "== unit tests (native SIMD dispatch) =="
 run_ctest "$repo_root/build" -L unit
+# The AVX2 pass matters on an AVX-512 host, where the native pass never
+# reaches the AVX2 kernel bodies outside kernels_test (on a CPU without
+# AVX2 the override clamps down and this repeats the scalar pass).
+echo "== unit tests (forced AVX2 kernels, E2NVM_SIMD=avx2) =="
+E2NVM_SIMD=avx2 run_ctest "$repo_root/build" -L unit
 echo "== unit tests (forced scalar kernels, E2NVM_SIMD=scalar) =="
 E2NVM_SIMD=scalar run_ctest "$repo_root/build" -L unit
 echo "== stress tests (oracle model check + concurrent shards + recovery fuzz) =="

@@ -162,8 +162,8 @@ class BitVector {
 
   /// Writes size() floats (0.0f / 1.0f per bit) to `out` through the
   /// dispatched bit->float expansion kernel — the shared featurization
-  /// path behind Bootstrap/Retrain snapshots, the write-path scratch
-  /// inference, and ToFloats. `out` must have room for size() floats.
+  /// path behind Bootstrap/Retrain snapshots, the replay-ring feed, and
+  /// ToFloats. `out` must have room for size() floats.
   void AppendFloatsTo(float* out) const;
 
   /// Renders as a '0'/'1' string (bit 0 first).

@@ -89,6 +89,33 @@ void ScalarGemv(const float* a, const float* b, size_t k, size_t n,
   }
 }
 
+/// Calls f(p) for every set bit p < k of `words`, in ascending p: one
+/// tzcnt per set bit, no per-bit branch on the clear ones.
+template <typename F>
+inline void ForEachSetBit(const uint64_t* words, size_t k, F&& f) {
+  const size_t full = k / 64;
+  for (size_t w = 0; w < full; ++w) {
+    for (uint64_t word = words[w]; word != 0; word &= word - 1) {
+      f(w * 64 + static_cast<size_t>(std::countr_zero(word)));
+    }
+  }
+  if ((k & 63) != 0) {
+    uint64_t word = words[full] & ((uint64_t{1} << (k & 63)) - 1);
+    for (; word != 0; word &= word - 1) {
+      f(full * 64 + static_cast<size_t>(std::countr_zero(word)));
+    }
+  }
+}
+
+void ScalarGemvBits(const uint64_t* words, size_t k, const float* b,
+                    size_t n, float* c) {
+  for (size_t j = 0; j < n; ++j) c[j] = 0.0f;
+  ForEachSetBit(words, k, [&](size_t p) {
+    const float* brow = b + p * n;
+    for (size_t j = 0; j < n; ++j) c[j] += brow[j];
+  });
+}
+
 /// Byte-at-a-time table for the Castagnoli polynomial (reflected form
 /// 0x82F63B78) — the scalar reference the hardware tiers must match.
 struct Crc32cTable {
@@ -117,7 +144,7 @@ uint32_t ScalarCrc32c(uint32_t crc, const void* data, size_t n) {
 constexpr KernelOps kScalarOps = {
     ScalarPopcount, ScalarHamming, ScalarDiff, ScalarBitsToFloats,
     ScalarAdd,      ScalarAxpy,    ScalarDot8, ScalarGemv,
-    ScalarCrc32c,
+    ScalarGemvBits, ScalarCrc32c,
 };
 
 // ----------------------------------------------------- dispatch --

@@ -34,11 +34,13 @@ enum class SimdLevel : int {
 ///  - float kernels vectorize across independent *output elements* only.
 ///    `add_f32`/`axpy_f32` are element-wise; `dot8_f32` keeps 8 output
 ///    columns in 8 lanes, each accumulating its k products in the same
-///    ascending order as the scalar loop. No tier may reassociate an
-///    accumulation or fuse a multiply-add: every product is rounded,
-///    then added and rounded again, exactly like `c += a * b` compiled
-///    without FP contraction. The SIMD translation units are therefore
-///    built with `-ffp-contract=off` and WITHOUT `-mfma`.
+///    ascending order as the scalar loop; `gemv_f32`/`gemv_bits` hold
+///    column tiles in registers, each column summing its rows in
+///    ascending p. No tier may reassociate an accumulation or fuse a
+///    multiply-add: every product is rounded, then added and rounded
+///    again, exactly like `c += a * b` compiled without FP contraction.
+///    The SIMD translation units are therefore built with
+///    `-ffp-contract=off` and WITHOUT `-mfma`.
 struct KernelOps {
   /// Total set bits in `w[0..n)`.
   size_t (*popcount_words)(const uint64_t* w, size_t n);
@@ -64,12 +66,22 @@ struct KernelOps {
   /// for j in [0, n), overwriting c. Each c[j] accumulates in ascending
   /// p with zero a[p] terms skipped — the same element order (and the
   /// same skip) as MatMulInto's scalar loop, so the register-blocked
-  /// SIMD tiers are bit-identical to it. This is the single-row encode
-  /// GEMV of the write path: keeping the whole k-loop inside one kernel
-  /// call holds the accumulators in registers instead of re-loading the
-  /// output row once per nonzero a[p].
+  /// SIMD tiers are bit-identical to it. This is MatMulInto's single-row
+  /// GEMV (on the write path, the encoder's mu head): keeping the whole
+  /// k-loop inside one kernel call holds the accumulators in registers
+  /// instead of re-loading the output row once per nonzero a[p].
   void (*gemv_f32)(const float* a, const float* b, size_t k, size_t n,
                    float* c);
+  /// Bit-row times row-major matrix: c[j] = sum over the set bits p < k
+  /// of words[] (LSB-first per word, ascending p) of b[p * n + j], for
+  /// j in [0, n), overwriting c; bits at p >= k are ignored. This is the
+  /// write path's encoder first layer fed the value's bits directly: it
+  /// performs exactly the additions gemv_f32 performs on the
+  /// bits_to_floats expansion of `words` (0.0 terms skipped, 1.0f * x
+  /// == x), in the same order from the same +0.0 start, so the result
+  /// is bit-identical to that two-step path on every tier.
+  void (*gemv_bits)(const uint64_t* words, size_t k, const float* b,
+                    size_t n, float* c);
   /// CRC32C (Castagnoli, reflected 0x82F63B78) of `data[0..n)` continued
   /// from `crc` — the integrity checksum of the durability layer (pool
   /// headers, journal slots, segment scrub). Standard convention: pass 0

@@ -205,6 +205,77 @@ void Avx2Gemv(const float* a, const float* b, size_t k, size_t n,
   }
 }
 
+/// Calls f(p) for every set bit p < k of `words`, in ascending p (a
+/// per-TU copy: a shared inline would risk the linker picking this
+/// ISA-flagged body for the scalar tier).
+template <typename F>
+inline void ForEachSetBit(const uint64_t* words, size_t k, F&& f) {
+  const size_t full = k / 64;
+  for (size_t w = 0; w < full; ++w) {
+    for (uint64_t word = words[w]; word != 0; word &= word - 1) {
+      f(w * 64 + static_cast<size_t>(__builtin_ctzll(word)));
+    }
+  }
+  if ((k & 63) != 0) {
+    uint64_t word = words[full] & ((uint64_t{1} << (k & 63)) - 1);
+    for (; word != 0; word &= word - 1) {
+      f(full * 64 + static_cast<size_t>(__builtin_ctzll(word)));
+    }
+  }
+}
+
+void Avx2GemvBits(const uint64_t* words, size_t k, const float* b,
+                  size_t n, float* c) {
+  // 64-column tiles in 8 ymm accumulators (a 128-wide hidden layer is
+  // two walks of the set bits), then 8-wide tiles, then a scalar tail.
+  // Every c[j] adds row p's entry for each set bit in ascending p from
+  // +0.0 — the additions gemv_f32 makes on 0/1 floats.
+  size_t j = 0;
+  for (; j + 64 <= n; j += 64) {
+    __m256 acc0 = _mm256_setzero_ps();
+    __m256 acc1 = _mm256_setzero_ps();
+    __m256 acc2 = _mm256_setzero_ps();
+    __m256 acc3 = _mm256_setzero_ps();
+    __m256 acc4 = _mm256_setzero_ps();
+    __m256 acc5 = _mm256_setzero_ps();
+    __m256 acc6 = _mm256_setzero_ps();
+    __m256 acc7 = _mm256_setzero_ps();
+    ForEachSetBit(words, k, [&](size_t p) {
+      const float* brow = b + p * n + j;
+      acc0 = _mm256_add_ps(acc0, _mm256_loadu_ps(brow));
+      acc1 = _mm256_add_ps(acc1, _mm256_loadu_ps(brow + 8));
+      acc2 = _mm256_add_ps(acc2, _mm256_loadu_ps(brow + 16));
+      acc3 = _mm256_add_ps(acc3, _mm256_loadu_ps(brow + 24));
+      acc4 = _mm256_add_ps(acc4, _mm256_loadu_ps(brow + 32));
+      acc5 = _mm256_add_ps(acc5, _mm256_loadu_ps(brow + 40));
+      acc6 = _mm256_add_ps(acc6, _mm256_loadu_ps(brow + 48));
+      acc7 = _mm256_add_ps(acc7, _mm256_loadu_ps(brow + 56));
+    });
+    _mm256_storeu_ps(c + j, acc0);
+    _mm256_storeu_ps(c + j + 8, acc1);
+    _mm256_storeu_ps(c + j + 16, acc2);
+    _mm256_storeu_ps(c + j + 24, acc3);
+    _mm256_storeu_ps(c + j + 32, acc4);
+    _mm256_storeu_ps(c + j + 40, acc5);
+    _mm256_storeu_ps(c + j + 48, acc6);
+    _mm256_storeu_ps(c + j + 56, acc7);
+  }
+  for (; j + 8 <= n; j += 8) {
+    __m256 acc = _mm256_setzero_ps();
+    ForEachSetBit(words, k, [&](size_t p) {
+      acc = _mm256_add_ps(acc, _mm256_loadu_ps(b + p * n + j));
+    });
+    _mm256_storeu_ps(c + j, acc);
+  }
+  if (j < n) {
+    for (size_t jj = j; jj < n; ++jj) c[jj] = 0.0f;
+    ForEachSetBit(words, k, [&](size_t p) {
+      const float* brow = b + p * n;
+      for (size_t jj = j; jj < n; ++jj) c[jj] += brow[jj];
+    });
+  }
+}
+
 // CRC32C via the SSE4.2 crc32 instruction (the crc32 unit is baseline
 // on every AVX2 CPU and -mavx2 implies -msse4.2). The instruction works
 // on the bit-inverted running state, so invert on entry/exit to keep the
@@ -231,7 +302,7 @@ uint32_t Avx2Crc32c(uint32_t crc, const void* data, size_t n) {
 const KernelOps kAvx2Ops = {
     Avx2Popcount, Avx2Hamming, Avx2Diff, Avx2BitsToFloats,
     Avx2Add,      Avx2Axpy,    Avx2Dot8, Avx2Gemv,
-    Avx2Crc32c,
+    Avx2GemvBits, Avx2Crc32c,
 };
 
 }  // namespace

@@ -190,6 +190,88 @@ void Avx512Gemv(const float* a, const float* b, size_t k, size_t n,
   }
 }
 
+/// Calls f(p) for every set bit p < k of `words`, in ascending p (a
+/// per-TU copy, as in kernels_avx2.cc).
+template <typename F>
+inline void ForEachSetBit(const uint64_t* words, size_t k, F&& f) {
+  const size_t full = k / 64;
+  for (size_t w = 0; w < full; ++w) {
+    for (uint64_t word = words[w]; word != 0; word &= word - 1) {
+      f(w * 64 + static_cast<size_t>(__builtin_ctzll(word)));
+    }
+  }
+  if ((k & 63) != 0) {
+    uint64_t word = words[full] & ((uint64_t{1} << (k & 63)) - 1);
+    for (; word != 0; word &= word - 1) {
+      f(full * 64 + static_cast<size_t>(__builtin_ctzll(word)));
+    }
+  }
+}
+
+void Avx512GemvBits(const uint64_t* words, size_t k, const float* b,
+                    size_t n, float* c) {
+  // 128-column tiles in 8 zmm accumulators, so a 128-wide hidden layer
+  // walks the set bits once; then 64-column tiles, then masked 16-wide
+  // steps. Every c[j] adds row p's entry for each set bit in ascending
+  // p from +0.0 — the additions gemv_f32 makes on 0/1 floats.
+  size_t j = 0;
+  for (; j + 128 <= n; j += 128) {
+    __m512 acc0 = _mm512_setzero_ps();
+    __m512 acc1 = _mm512_setzero_ps();
+    __m512 acc2 = _mm512_setzero_ps();
+    __m512 acc3 = _mm512_setzero_ps();
+    __m512 acc4 = _mm512_setzero_ps();
+    __m512 acc5 = _mm512_setzero_ps();
+    __m512 acc6 = _mm512_setzero_ps();
+    __m512 acc7 = _mm512_setzero_ps();
+    ForEachSetBit(words, k, [&](size_t p) {
+      const float* brow = b + p * n + j;
+      acc0 = _mm512_add_ps(acc0, _mm512_loadu_ps(brow));
+      acc1 = _mm512_add_ps(acc1, _mm512_loadu_ps(brow + 16));
+      acc2 = _mm512_add_ps(acc2, _mm512_loadu_ps(brow + 32));
+      acc3 = _mm512_add_ps(acc3, _mm512_loadu_ps(brow + 48));
+      acc4 = _mm512_add_ps(acc4, _mm512_loadu_ps(brow + 64));
+      acc5 = _mm512_add_ps(acc5, _mm512_loadu_ps(brow + 80));
+      acc6 = _mm512_add_ps(acc6, _mm512_loadu_ps(brow + 96));
+      acc7 = _mm512_add_ps(acc7, _mm512_loadu_ps(brow + 112));
+    });
+    _mm512_storeu_ps(c + j, acc0);
+    _mm512_storeu_ps(c + j + 16, acc1);
+    _mm512_storeu_ps(c + j + 32, acc2);
+    _mm512_storeu_ps(c + j + 48, acc3);
+    _mm512_storeu_ps(c + j + 64, acc4);
+    _mm512_storeu_ps(c + j + 80, acc5);
+    _mm512_storeu_ps(c + j + 96, acc6);
+    _mm512_storeu_ps(c + j + 112, acc7);
+  }
+  for (; j + 64 <= n; j += 64) {
+    __m512 acc0 = _mm512_setzero_ps();
+    __m512 acc1 = _mm512_setzero_ps();
+    __m512 acc2 = _mm512_setzero_ps();
+    __m512 acc3 = _mm512_setzero_ps();
+    ForEachSetBit(words, k, [&](size_t p) {
+      const float* brow = b + p * n + j;
+      acc0 = _mm512_add_ps(acc0, _mm512_loadu_ps(brow));
+      acc1 = _mm512_add_ps(acc1, _mm512_loadu_ps(brow + 16));
+      acc2 = _mm512_add_ps(acc2, _mm512_loadu_ps(brow + 32));
+      acc3 = _mm512_add_ps(acc3, _mm512_loadu_ps(brow + 48));
+    });
+    _mm512_storeu_ps(c + j, acc0);
+    _mm512_storeu_ps(c + j + 16, acc1);
+    _mm512_storeu_ps(c + j + 32, acc2);
+    _mm512_storeu_ps(c + j + 48, acc3);
+  }
+  for (; j < n; j += 16) {
+    const __mmask16 m =
+        n - j >= 16 ? static_cast<__mmask16>(0xFFFF) : TailMask16(n - j);
+    __m512 acc = _mm512_setzero_ps();
+    ForEachSetBit(words, k, [&](size_t p) {
+      acc = _mm512_add_ps(acc, _mm512_maskz_loadu_ps(m, b + p * n + j));
+    });
+    _mm512_mask_storeu_ps(c + j, m, acc);
+  }
+}
+
 // CRC32C through the same SSE4.2 crc32 unit as the AVX2 tier (baseline
 // on every AVX-512 CPU); duplicated here so the tier's table stands
 // alone. See kernels_avx2.cc for the inversion convention.
@@ -214,7 +296,7 @@ uint32_t Avx512Crc32c(uint32_t crc, const void* data, size_t n) {
 const KernelOps kAvx512Ops = {
     Avx512Popcount, Avx512Hamming, Avx512Diff, Avx512BitsToFloats,
     Avx512Add,      Avx512Axpy,    Avx512Dot8, Avx512Gemv,
-    Avx512Crc32c,
+    Avx512GemvBits, Avx512Crc32c,
 };
 
 }  // namespace

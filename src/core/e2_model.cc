@@ -134,10 +134,11 @@ size_t E2Model::PredictCluster(const std::vector<float>& features) {
 }
 
 void E2Model::AssignScratch(ml::InferenceScratch* scratch) {
-  E2_CHECK(scratch->in.cols() == config_.input_dim,
-           "feature width %zu != input_dim %zu", scratch->in.cols(),
+  E2_CHECK(scratch->dim == config_.input_dim,
+           "feature width %zu != input_dim %zu", scratch->dim,
            config_.input_dim);
-  vae_->EncodeMuInto(scratch->in, &scratch->hidden, &scratch->latent);
+  vae_->EncodeMuInto(scratch->bits.data(), scratch->num_rows,
+                     &scratch->hidden, &scratch->latent);
   kmeans_.AssignFusedInto(scratch->latent, &scratch->scores,
                           &scratch->clusters);
 }

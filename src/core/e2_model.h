@@ -58,10 +58,10 @@ class E2Model : public placement::ContentClusterer {
 
   size_t PredictCluster(const std::vector<float>& features) override;
 
-  /// Write-path fast path: one encoder GEMM over all staged rows
-  /// (Vae::EncodeMuInto) + one fused K-means assignment — zero heap
+  /// Write-path fast path: the bit-native encoder over all staged bit
+  /// rows (Vae::EncodeMuInto) + one fused K-means assignment — zero heap
   /// allocations once the scratch is warm, bit-identical cluster ids to
-  /// PredictCluster per row.
+  /// PredictCluster on each row's float expansion.
   void AssignScratch(ml::InferenceScratch* scratch) override;
 
   size_t num_clusters() const override { return config_.k; }

@@ -179,24 +179,20 @@ StatusOr<std::vector<float>> PlacementEngine::Featurize(
   return padded.ToFloats();
 }
 
-Status PlacementEngine::FeaturizeInto(const BitVector& value, float* out) {
+StatusOr<const BitVector*> PlacementEngine::ModelImage(
+    const BitVector& value) {
   const size_t dim = ctrl_->segment_bits();
   seen_ones_ += value.Popcount();
   seen_bits_ += value.size();
-  if (value.size() == dim) {
-    value.AppendFloatsTo(out);
-    return Status::Ok();
-  }
+  if (value.size() == dim) return &value;
   if (padder_ == nullptr) {
-    // Zero-extend: the value's floats followed by zeros — the same
-    // features Featurize computes via Overlay + ToFloats.
-    std::fill(out + value.size(), out + dim, 0.0f);
-    value.AppendFloatsTo(out);
-    return Status::Ok();
+    // Zero-extend at the end — the bits Featurize builds via Overlay.
+    pad_scratch_.AssignZeros(dim);
+    pad_scratch_.Overlay(0, value);
+    return &pad_scratch_;
   }
   E2_RETURN_IF_ERROR(PadForModelInto(value, &pad_scratch_));
-  pad_scratch_.AppendFloatsTo(out);
-  return Status::Ok();
+  return &pad_scratch_;
 }
 
 StatusOr<BitVector> PlacementEngine::PadForModel(const BitVector& value) {
@@ -247,8 +243,9 @@ StatusOr<size_t> PlacementEngine::PredictClusterFor(const BitVector& value) {
     ChargePrediction();
     return clusterer_->PredictCluster(feats);
   }
-  scratch_.in.EnsureShape(1, ctrl_->segment_bits());
-  E2_RETURN_IF_ERROR(FeaturizeInto(value, scratch_.in.Row(0)));
+  E2_ASSIGN_OR_RETURN(const BitVector* image, ModelImage(value));
+  scratch_.Stage(1, ctrl_->segment_bits());
+  scratch_.SetRow(0, *image);
   ChargePrediction();
   clusterer_->AssignScratch(&scratch_);
   return scratch_.clusters[0];
@@ -274,9 +271,10 @@ void PlacementEngine::PredictValue(const BitVector& value, bool* model_ok,
            feats.status().ToString().c_str());
     return;
   }
-  scratch_.in.EnsureShape(1, ctrl_->segment_bits());
-  Status s = FeaturizeInto(value, scratch_.in.Row(0));
-  if (s.ok()) {
+  StatusOr<const BitVector*> image = ModelImage(value);
+  if (image.ok()) {
+    scratch_.Stage(1, ctrl_->segment_bits());
+    scratch_.SetRow(0, **image);
     ChargePrediction();
     clusterer_->AssignScratch(&scratch_);
     *cluster = scratch_.clusters[0];
@@ -285,7 +283,7 @@ void PlacementEngine::PredictValue(const BitVector& value, bool* model_ok,
   *model_ok = false;
   ++stats_.model_fallbacks;
   E2_LOG(kWarning, "placement model unhealthy, using first-free: %s",
-         s.ToString().c_str());
+         image.status().ToString().c_str());
 }
 
 StatusOr<uint64_t> PlacementEngine::Place(const BitVector& value) {
@@ -400,25 +398,25 @@ Status PlacementEngine::PlaceMany(
     if (values[next]->size() > dim) {
       return Status::InvalidArgument("value wider than a segment");
     }
-    // Stage the longest run of valid-width values as one batch: one
-    // featurize pass, one encoder GEMM, one fused assignment.
+    // Stage the longest run of valid-width values as one batch of bit
+    // rows: one encoder pass, one fused assignment.
     size_t end = next;
     while (end < values.size() && values[end]->size() <= dim) ++end;
     size_t base = next;  // Value staged in scratch row 0.
-    scratch_.in.EnsureShape(end - base, dim);
+    scratch_.Stage(end - base, dim);
     scratch_.row_ok.assign(end - base, 1);
     for (size_t i = base; i < end; ++i) {
-      Status s = FeaturizeInto(*values[i], scratch_.in.Row(i - base));
-      if (!s.ok()) {
-        // Same degraded mode as Place: this value goes first-free.
-        scratch_.row_ok[i - base] = 0;
-        std::fill(scratch_.in.Row(i - base),
-                  scratch_.in.Row(i - base) + dim, 0.0f);
-        ++stats_.model_fallbacks;
-        E2_LOG(kWarning,
-               "placement model unhealthy, using first-free: %s",
-               s.ToString().c_str());
+      StatusOr<const BitVector*> image = ModelImage(*values[i]);
+      if (image.ok()) {
+        scratch_.SetRow(i - base, **image);
+        continue;
       }
+      // Same degraded mode as Place: this value goes first-free.
+      scratch_.row_ok[i - base] = 0;
+      scratch_.ClearRow(i - base);
+      ++stats_.model_fallbacks;
+      E2_LOG(kWarning, "placement model unhealthy, using first-free: %s",
+             image.status().ToString().c_str());
     }
     uint64_t gen = model_generation_;
     uint64_t retrains = stats_.retrains;
@@ -442,18 +440,10 @@ Status PlacementEngine::PlaceMany(
         // The model changed mid-batch (sync retrain, shadow swap, or an
         // incremental refinement step): re-assign the remaining rows
         // with the new model, exactly as sequential Places after the
-        // change would. Features are model-independent, so no
-        // re-featurize (and the running 1-ratio counters advance once
-        // per value, as in Place).
-        const size_t remaining = end - next;
-        for (size_t i = 0; i < remaining; ++i) {
-          std::memmove(scratch_.in.Row(i),
-                       scratch_.in.Row(next - base + i),
-                       dim * sizeof(float));
-          scratch_.row_ok[i] = scratch_.row_ok[next - base + i];
-        }
-        scratch_.in.EnsureShape(remaining, dim);
-        scratch_.row_ok.resize(remaining);
+        // change would. Model images are model-independent, so the
+        // staged bit rows just move to the front (and the running
+        // 1-ratio counters advance once per value, as in Place).
+        scratch_.DropFrontRows(next - base);
         base = next;
         gen = model_generation_;
         retrains = stats_.retrains;
@@ -671,12 +661,12 @@ Status PlacementEngine::Release(uint64_t addr) {
     ChargePrediction();
     cluster = clusterer_->PredictCluster(content.ToFloats());
   } else {
-    scratch_.in.EnsureShape(1, ctrl_->segment_bits());
     // PeekInto + the reused peek buffer keep the memo-miss path (first
     // release of a key, or any release right after a model swap
     // invalidated the cache) off the heap, like the rest of the chain.
     ctrl_->PeekInto(addr, &peek_scratch_);
-    peek_scratch_.AppendFloatsTo(scratch_.in.Row(0));
+    scratch_.Stage(1, ctrl_->segment_bits());
+    scratch_.SetRow(0, peek_scratch_);
     ChargePrediction();
     clusterer_->AssignScratch(&scratch_);
     cluster = scratch_.clusters[0];

@@ -213,10 +213,10 @@ class PlacementEngine : public index::ValuePlacer {
   // --- index::ValuePlacer ---
   std::string_view name() const override;
   StatusOr<uint64_t> Place(const BitVector& value) override;
-  /// Batched placement (§4.1.4's batching remedy): featurizes the whole
-  /// run of values into one scratch matrix, runs a single encoder GEMM
-  /// and a single fused assignment pass, then pops/writes per value in
-  /// order. Placements are identical to sequential Place calls: if the
+  /// Batched placement (§4.1.4's batching remedy): stages the whole
+  /// run of values as bit rows in one scratch, runs a single encoder
+  /// pass and a single fused assignment pass, then pops/writes per value
+  /// in order. Placements are identical to sequential Place calls: if the
   /// model retrains or a shadow swaps in mid-batch, the not-yet-placed
   /// rows are re-assigned with the new model, and configurations whose
   /// features depend on the live memory image (a padder with narrow
@@ -257,11 +257,14 @@ class PlacementEngine : public index::ValuePlacer {
  private:
   /// Pads (if configured) and featurizes a value for the model.
   StatusOr<std::vector<float>> Featurize(const BitVector& value);
-  /// Allocation-free Featurize into `out` (segment_bits floats): same
-  /// counter updates and padding decisions; the full-width and
-  /// zero-extend paths write the floats directly.
-  Status FeaturizeInto(const BitVector& value, float* out);
-  /// The padding step of FeaturizeInto: builds the PaddingContext
+  /// The scratch path's featurization: the value's model image (the
+  /// bits Featurize expands to floats) — `value` itself at full width,
+  /// else `value` zero-extended (no padder) or padded into
+  /// pad_scratch_. Same counter updates and padding decisions as
+  /// Featurize; allocation-free once pad_scratch_ is warm. The pointer
+  /// is valid until the next ModelImage call.
+  StatusOr<const BitVector*> ModelImage(const BitVector& value);
+  /// The padding step of ModelImage: builds the PaddingContext
   /// (dataset/memory 1-ratios, LSTM, RNG) and pads `value` into `out`.
   /// The memory 1-ratio samples segments through peek_scratch_, so with
   /// a universal padder this allocates nothing once `out` is warm.
@@ -341,7 +344,7 @@ class PlacementEngine : public index::ValuePlacer {
   // memory-based padding sample (same single-caller contract as the
   // scratches above).
   BitVector peek_scratch_;
-  // Model-width padded value of a narrow Place (FeaturizeInto), and the
+  // Model-width image of a narrow Place (ModelImage), and the
   // merged segment image of a narrow write (MergeWriteInto): both reuse
   // their capacity, so narrow PUTs stay off the heap too.
   BitVector pad_scratch_;

@@ -115,14 +115,16 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   // touches B ~block-height times less than row-at-a-time GEMVs would.
   // Each c[i][j] still accumulates its k products in ascending-p order,
   // so the result is bit-identical to the naive i-outer loop (this is
-  // what lets MultiPut's one-GEMM placement match sequential Puts).
-  // The av == 1.0f lane matters more than it looks: encoder inputs are
-  // featurized bit patterns (every element 0.0 or 1.0), so the write
-  // path's GEMMs reduce to summing the B rows selected by set bits —
-  // and 1.0f * x == x exactly, so the specialization stays bit-identical
-  // for every input. The j-inner lanes run through the dispatched SIMD
-  // kernels, which are element-wise over j (each c[i][j] still sees its
-  // products in ascending-p, mul-then-add order — see kernels.h).
+  // what lets MultiPut's batched mu-head GEMM match sequential Puts).
+  // The av == 1.0f lane matters more than it looks: training's encoder
+  // inputs are featurized bit patterns (every element 0.0 or 1.0), so
+  // those GEMMs reduce to summing the B rows selected by set bits — and
+  // 1.0f * x == x exactly, so the specialization stays bit-identical
+  // for every input (the write path sums those rows straight from the
+  // bits: kernels.h gemv_bits). The j-inner lanes run through the
+  // dispatched SIMD kernels, which are element-wise over j (each
+  // c[i][j] still sees its products in ascending-p, mul-then-add
+  // order — see kernels.h).
   const KernelOps& kern = Ops();
   auto rows = [&](size_t lo, size_t hi) {
     for (size_t p = 0; p < k; ++p) {

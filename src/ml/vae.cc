@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 
+#include "common/kernels.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 
@@ -99,12 +100,22 @@ std::vector<float> Vae::EncodeOne(const std::vector<float>& x) {
   return mu.data();
 }
 
-void Vae::EncodeMuInto(const Matrix& x, Matrix* hidden, Matrix* mu) {
-  E2_CHECK(x.cols() == config_.input_dim, "EncodeMuInto dim mismatch");
+void Vae::EncodeMuInto(const uint64_t* bit_rows, size_t rows,
+                       Matrix* hidden, Matrix* mu) {
+  const size_t in = config_.input_dim;
+  const size_t row_words = (in + 63) / 64;
+  const size_t hid = config_.hidden_dim;
   // Mirrors EncodeForward's mu branch op for op (Dense::Forward is
-  // MatMul + AddRowVector; Relu::Forward's outputs are max(v, 0)), so
-  // the latent codes match EncodeMu bit for bit.
-  MatMulInto(x, enc_in_->weights().value, hidden);
+  // MatMul + AddRowVector; Relu::Forward's outputs are max(v, 0)). The
+  // first MatMul's input is all 0.0/1.0, so its per-element sums are
+  // exactly gemv_bits' sums of the selected W1 rows; the latent codes
+  // match EncodeMu bit for bit.
+  hidden->EnsureShape(rows, hid);
+  const KernelOps& kern = Ops();
+  const float* w1 = enc_in_->weights().value.Row(0);
+  for (size_t r = 0; r < rows; ++r) {
+    kern.gemv_bits(bit_rows + r * row_words, in, w1, hid, hidden->Row(r));
+  }
   AddRowVector(*hidden, enc_in_->bias().value.data());
   ReluInPlace(*hidden);
   MatMulInto(*hidden, mu_head_->weights().value, mu);

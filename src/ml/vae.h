@@ -69,13 +69,19 @@ class Vae {
   /// Encodes a single vector (length input_dim) to its latent mean.
   std::vector<float> EncodeOne(const std::vector<float>& x);
 
-  /// Inference-only encoder into caller-owned scratch: hidden = ReLU(x W1
-  /// + b1), mu = hidden W2 + b2. Skips the logvar head, the training
-  /// caches, and every temporary of EncodeMu, so a warmed-up call
-  /// performs zero heap allocations; the mu values are bit-identical to
-  /// EncodeMu (same kernels, same accumulation order). This is the "only
-  /// the encoder part is needed after training" write path of §3.3.1.
-  void EncodeMuInto(const Matrix& x, Matrix* hidden, Matrix* mu);
+  /// Inference-only encoder of bit rows into caller-owned scratch:
+  /// hidden = ReLU(x W1 + b1), mu = hidden W2 + b2, where row r of x is
+  /// the bit string bit_rows[r * ceil(input_dim / 64) ...] (LSB-first
+  /// words, as BitVector stores it). The first layer sums the W1 rows of
+  /// the set bits directly (KernelOps::gemv_bits) instead of multiplying
+  /// a 0.0/1.0 float expansion; it skips the logvar head, the training
+  /// caches and every temporary of EncodeMu, so a warmed-up call
+  /// performs zero heap allocations. The mu values are bit-identical to
+  /// EncodeMu on the float expansion of the same bits (same additions,
+  /// same order). This is the "only the encoder part is needed after
+  /// training" write path of §3.3.1.
+  void EncodeMuInto(const uint64_t* bit_rows, size_t rows, Matrix* hidden,
+                    Matrix* mu);
 
   /// Decodes latent codes to Bernoulli means (sigmoid outputs).
   Matrix Decode(const Matrix& z);

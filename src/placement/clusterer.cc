@@ -6,12 +6,11 @@ void ContentClusterer::AssignScratch(ml::InferenceScratch* scratch) {
   // Reference fallback: row-by-row PredictCluster. Allocates per row;
   // models on the write path override this with a batched scratch
   // kernel. Kept as the behavioral definition the overrides must match.
-  const size_t n = scratch->in.rows();
-  const size_t dim = scratch->in.cols();
+  const size_t n = scratch->num_rows;
   scratch->clusters.resize(n);
   for (size_t r = 0; r < n; ++r) {
-    const float* row = scratch->in.Row(r);
-    std::vector<float> features(row, row + dim);
+    std::vector<float> features(scratch->dim);
+    Ops().bits_to_floats(scratch->BitRow(r), scratch->dim, features.data());
     scratch->clusters[r] = PredictCluster(features);
   }
 }

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/kernels.h"
 #include "common/status.h"
 #include "ml/inference.h"
 #include "ml/kmeans.h"
@@ -42,12 +43,13 @@ class ContentClusterer {
   /// Maps a content vector (0/1 floats, length = input dim) to a cluster.
   virtual size_t PredictCluster(const std::vector<float>& features) = 0;
 
-  /// Write-path inference: assigns every feature row staged in
-  /// scratch->in to a cluster, filling scratch->clusters (one id per
-  /// row). Results must be identical to calling PredictCluster on each
-  /// row; the base implementation does exactly that (allocating).
-  /// Hot-path models override it with a zero-allocation batched kernel
-  /// (one encoder GEMM + one fused assignment for the whole batch).
+  /// Write-path inference: assigns every bit row staged in `scratch`
+  /// (InferenceScratch::Stage/SetRow) to a cluster, filling
+  /// scratch->clusters (one id per row). Results must be identical to
+  /// calling PredictCluster on each row's 0.0/1.0 float expansion; the
+  /// base implementation does exactly that (allocating). Hot-path models
+  /// override it with a zero-allocation batched kernel (E2Model: a
+  /// bit-native encoder pass + one fused assignment for the whole batch).
   virtual void AssignScratch(ml::InferenceScratch* scratch);
 
   virtual size_t num_clusters() const = 0;
@@ -91,7 +93,7 @@ class SingleClusterer : public ContentClusterer {
     return 0;
   }
   void AssignScratch(ml::InferenceScratch* scratch) override {
-    scratch->clusters.assign(scratch->in.rows(), 0);
+    scratch->clusters.assign(scratch->num_rows, 0);
   }
   size_t num_clusters() const override { return 1; }
   double PredictFlops() const override { return 0; }
@@ -117,7 +119,7 @@ class RawKMeansClusterer : public ContentClusterer {
   Status Train(const ml::Matrix& contents) override;
   size_t PredictCluster(const std::vector<float>& features) override;
   void AssignScratch(ml::InferenceScratch* scratch) override {
-    kmeans_.AssignFusedInto(scratch->in, &scratch->scores,
+    kmeans_.AssignFusedInto(scratch->ExpandFloats(), &scratch->scores,
                             &scratch->clusters);
   }
   size_t num_clusters() const override { return kmeans_.k(); }
@@ -167,13 +169,14 @@ class DensityClusterer : public ContentClusterer {
     return bucket >= k_ ? k_ - 1 : bucket;
   }
   void AssignScratch(ml::InferenceScratch* scratch) override {
-    const size_t n = scratch->in.rows();
-    const size_t dim = scratch->in.cols();
+    const size_t n = scratch->num_rows;
+    const size_t dim = scratch->dim;
+    const KernelOps& kern = Ops();
     scratch->clusters.resize(n);
     for (size_t r = 0; r < n; ++r) {
-      const float* row = scratch->in.Row(r);
-      double ones = 0;
-      for (size_t i = 0; i < dim; ++i) ones += row[i] >= 0.5f ? 1.0 : 0.0;
+      // The count of 1 bits — what PredictCluster tallies from floats.
+      const double ones = static_cast<double>(
+          kern.popcount_words(scratch->BitRow(r), scratch->row_words));
       double frac = dim == 0 ? 0.0 : ones / static_cast<double>(dim);
       size_t bucket = static_cast<size_t>(frac * static_cast<double>(k_));
       scratch->clusters[r] = bucket >= k_ ? k_ - 1 : bucket;

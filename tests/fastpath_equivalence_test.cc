@@ -191,6 +191,100 @@ TEST(FastPathEquivalence, MultiPutMatchesReferenceWithoutUpdates) {
   ExpectSame(ObserveStore(*ref), ObserveStore(*batched));
 }
 
+TEST(FastPathEquivalence, NarrowMultiPutMatchesReferenceWithoutPadder) {
+  // Mixed widths with no padder: the batched path stages each value's
+  // zero-extended image as a bit row, which must place exactly like the
+  // reference path's Overlay + ToFloats features. Both stores go
+  // through MultiPut, so updates recycle at the same points on both
+  // sides; the reference engine places the batch one value at a time.
+  auto ds = ClusteredData(31);
+  auto ref = MakeStore(ds, /*reference=*/true);
+  auto batched = MakeStore(ds, /*reference=*/false);
+  constexpr size_t kBatch = 16;
+  std::vector<std::pair<uint64_t, BitVector>> kvs;
+  for (uint64_t i = 0; i < 320; ++i) {
+    const size_t width = kBits - (i % 5) * 37;
+    kvs.emplace_back(i % kKeys,
+                     ds.items[i % ds.items.size()].Slice(0, width));
+    if (kvs.size() == kBatch) {
+      ASSERT_TRUE(ref->MultiPut(kvs).ok());
+      ASSERT_TRUE(batched->MultiPut(kvs).ok());
+      kvs.clear();
+    }
+  }
+  ExpectSame(ObserveStore(*ref), ObserveStore(*batched));
+  EXPECT_EQ(ref->engine().stats().retrains,
+            batched->engine().stats().retrains);
+  EXPECT_GT(batched->engine().stats().retrains, 0u);
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    auto a = ref->Get(key);
+    auto b = batched->Get(key);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(*a, *b) << "key " << key;
+  }
+}
+
+/// A store whose drift detector answers degradation with inline
+/// refinement steps (never a full retrain): a short window and refine
+/// interval so a few hundred drifting PUTs refine many times.
+std::unique_ptr<E2KvStore> MakeRefiningStore(const workload::BitDataset& ds,
+                                             bool reference) {
+  StoreConfig sc;
+  sc.num_segments = kSegments;
+  sc.segment_bits = kBits;
+  sc.model.k = 4;
+  sc.model.pretrain_epochs = 2;
+  sc.model.finetune_rounds = 1;
+  sc.auto_retrain = true;
+  sc.retrain.window = 32;
+  sc.retrain.baseline_writes = 16;
+  sc.retrain.degradation_factor = 1.3;
+  sc.retrain.min_free_per_cluster = 0;
+  sc.retrain.refine_interval = 8;
+  sc.retrain.max_refine_rounds = 1000;
+  sc.incremental_learning = true;
+  sc.replay_ring_capacity = 64;
+  sc.refine_batch = 16;
+  sc.reference_inference = reference;
+  auto store_or = E2KvStore::Create(sc);
+  EXPECT_TRUE(store_or.ok());
+  auto store = std::move(*store_or);
+  store->Seed(ds);
+  EXPECT_TRUE(store->Bootstrap().ok());
+  return store;
+}
+
+TEST(FastPathEquivalence, MultiPutMatchesSequentialPutsAcrossRefineSteps) {
+  // Phase A matches the seeded distribution; phase B redraws the
+  // prototypes, so the flip ratio degrades and refinement steps fire
+  // inside batches. After each mid-batch step the batched engine
+  // re-assigns its remaining staged bit rows under the refined model;
+  // the reference store places every value of the batch sequentially.
+  auto seed_ds = ClusteredData(41);
+  auto drift_ds = ClusteredData(43);
+  auto ref = MakeRefiningStore(seed_ds, /*reference=*/true);
+  auto batched = MakeRefiningStore(seed_ds, /*reference=*/false);
+  constexpr size_t kBatch = 13;  // Odd, so steps rarely end a batch.
+  std::vector<std::pair<uint64_t, BitVector>> kvs;
+  for (uint64_t i = 0; i < 390; ++i) {
+    const auto& src = i < 64 ? seed_ds : drift_ds;
+    kvs.emplace_back(i % kKeys, src.items[i % src.items.size()]);
+    if (kvs.size() == kBatch) {
+      ASSERT_TRUE(ref->MultiPut(kvs).ok());
+      ASSERT_TRUE(batched->MultiPut(kvs).ok());
+      ASSERT_EQ(ref->engine().stats().refine_steps,
+                batched->engine().stats().refine_steps)
+          << "op " << i;
+      kvs.clear();
+    }
+  }
+  ExpectSame(ObserveStore(*ref), ObserveStore(*batched));
+  EXPECT_GT(batched->engine().stats().refine_steps, 1u)
+      << "no refinement step fired; the mid-batch re-assign never ran";
+  EXPECT_EQ(batched->engine().stats().retrains, 0u);
+}
+
 TEST(FastPathEquivalence, MatchesReferenceAcrossBackgroundSwap) {
   // Drive both stores through a deterministic shadow-model swap: run the
   // same stream, and whenever a shadow training is in flight, drain it
@@ -313,22 +407,44 @@ TEST(FastPathEquivalence, SteadyStatePutsAreAllocationFree) {
   }
   EXPECT_EQ(t_alloc_count - before, 0u)
       << "steady-state Put allocated on the heap";
+}
 
-  // Same contract for the batched path: reuse one staged batch so only
-  // MultiPut's own work is measured.
-  std::vector<std::pair<uint64_t, BitVector>> kvs;
+TEST(FastPathEquivalence, SteadyStateMultiPutsAreAllocationFree) {
+  // The batched path: bit-row staging, the encoder pass and the fused
+  // assignment reuse the engine scratch, for full-width batches and for
+  // narrow values zero-extended into the model image (no padder). One
+  // staged batch per shape is reused so only MultiPut's work is counted.
+  auto ds = ClusteredData(47);
+  auto store = MakeSteadyStore(ds);
+  std::vector<std::pair<uint64_t, BitVector>> full, narrow;
   for (uint64_t i = 0; i < 16; ++i) {
-    kvs.emplace_back(i % kKeys, ds.items[i % ds.items.size()]);
+    const BitVector& v = ds.items[i % ds.items.size()];
+    full.emplace_back(i % kKeys, v);
+    narrow.emplace_back((i + 16) % kKeys,
+                        v.Slice(0, kBits * (1 + i % 3) / 4));
   }
   for (int warm = 0; warm < 8; ++warm) {
-    ASSERT_TRUE(store->MultiPut(kvs).ok());
+    ASSERT_TRUE(store->MultiPut(full).ok());
   }
-  before = t_alloc_count;
+  uint64_t before = t_alloc_count;
   for (int round = 0; round < 16; ++round) {
-    ASSERT_TRUE(store->MultiPut(kvs).ok());
+    ASSERT_TRUE(store->MultiPut(full).ok());
   }
   EXPECT_EQ(t_alloc_count - before, 0u)
       << "steady-state MultiPut allocated on the heap";
+  // Narrow values re-encode their merged segment on Release, which
+  // shifts free addresses between clusters; warm up with the audited
+  // stream itself so every grow-only free-list ring has reached its
+  // high-water mark first.
+  for (int warm = 0; warm < 32; ++warm) {
+    ASSERT_TRUE(store->MultiPut(narrow).ok());
+  }
+  before = t_alloc_count;
+  for (int round = 0; round < 16; ++round) {
+    ASSERT_TRUE(store->MultiPut(narrow).ok());
+  }
+  EXPECT_EQ(t_alloc_count - before, 0u)
+      << "steady-state narrow MultiPut allocated on the heap";
 }
 
 TEST(FastPathEquivalence, SteadyStateNarrowPutsAreAllocationFree) {

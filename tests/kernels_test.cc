@@ -216,6 +216,59 @@ TEST(KernelsTest, GemvMatchesScalarBitwise) {
   }
 }
 
+TEST(KernelsTest, GemvBitsMatchesGemvOnFeaturizedBits) {
+  // gemv_bits must equal the two-step path it replaces — bits_to_floats,
+  // then the scalar gemv_f32 — bit for bit, on every tier. n sweeps the
+  // 128/64/16 (avx512) and 64/8 (avx2) tilings and their tails; k covers
+  // sub-word, word-aligned and ragged bit counts; the weights mix -0.0f
+  // (0.0f + -0.0f == +0.0f must survive), denormals and large
+  // magnitudes whose sums depend on the addition order (kept below the
+  // overflow range, so no NaN payload question arises).
+  const KernelOps& ref = *OpsFor(SimdLevel::kScalar);
+  Rng rng(0x6b17);
+  const float kSpecial[] = {-0.0f, 1e-40f, -3e-39f, 3.0e33f, -2.5e33f,
+                            1.0e7f, -1.0e-7f};
+  for (SimdLevel level : AvailableLevels()) {
+    const KernelOps& ops = *OpsFor(level);
+    for (size_t k : {1u, 63u, 64u, 65u, 200u, 512u, 2048u}) {
+      for (size_t n : {1u, 8u, 15u, 16u, 17u, 64u, 127u, 128u, 129u,
+                       200u}) {
+        std::vector<float> b(k * n);
+        for (auto& v : b) {
+          const float r = rng.NextFloat();
+          v = r < 0.2f ? kSpecial[rng.NextU64() % std::size(kSpecial)]
+                       : r * 4.0f - 2.0f;
+        }
+        // Bit densities 0, 1/64, 1/2 and all ones; the tail word also
+        // carries set bits above k, which the kernel must ignore.
+        for (int density = 0; density < 4; ++density) {
+          std::vector<uint64_t> words((k + 63) / 64);
+          for (auto& w : words) {
+            switch (density) {
+              case 0: w = 0; break;
+              case 1: w = uint64_t{1} << (rng.NextU64() % 64); break;
+              case 2: w = rng.NextU64(); break;
+              default: w = ~uint64_t{0}; break;
+            }
+          }
+          std::vector<uint64_t> masked = words;
+          if (k % 64 != 0) masked.back() &= (uint64_t{1} << (k % 64)) - 1;
+          std::vector<float> feats(k);
+          ref.bits_to_floats(masked.data(), k, feats.data());
+          std::vector<float> got(n + 4, -3.0f), want(n + 4, -3.0f);
+          ops.gemv_bits(words.data(), k, b.data(), n, got.data());
+          ref.gemv_f32(feats.data(), b.data(), k, n, want.data());
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(float)),
+                    0)
+              << SimdLevelName(level) << " gemv_bits k=" << k
+              << " n=" << n << " density=" << density;
+        }
+      }
+    }
+  }
+}
+
 // --- CRC32C: known-answer vectors, chaining, and cross-tier equality
 // (the hardware-accelerated tiers must produce standard Castagnoli
 // checksums, byte-for-byte interchangeable with the scalar table). ---
