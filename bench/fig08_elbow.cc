@@ -30,12 +30,8 @@ void Run() {
   core::E2Model probe(model_cfg);
   {
     auto train = workload::ResizeItems(ds, kBits);
-    ml::Matrix m(kSegments, kBits);
-    for (size_t i = 0; i < kSegments; ++i) {
-      for (size_t d = 0; d < kBits; ++d) {
-        m(i, d) = train.items[i].Get(d) ? 1.0f : 0.0f;
-      }
-    }
+    ml::BitRows m(kSegments, kBits);
+    for (size_t i = 0; i < kSegments; ++i) m.SetRow(i, train.items[i]);
     Status s = probe.Train(m);
     if (!s.ok()) {
       std::fprintf(stderr, "train failed: %s\n", s.ToString().c_str());

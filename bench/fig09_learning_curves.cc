@@ -22,7 +22,7 @@ void Curve(const char* name, const workload::BitDataset& ds) {
   opts.epochs = 12;
   opts.batch_size = 64;
   opts.validation_fraction = 0.2;
-  ml::TrainHistory h = vae.Train(ds.ToMatrix(), opts);
+  ml::TrainHistory h = vae.Train(ds.ToBitRows(), opts);
   std::printf("dataset=%s\n%6s %14s %14s\n", name, "epoch", "train_loss",
               "val_loss");
   for (size_t e = 0; e < h.train_loss.size(); ++e) {

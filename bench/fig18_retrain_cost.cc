@@ -38,7 +38,7 @@ void Run() {
     opts.batch_size = 64;
     opts.validation_fraction = 0.0;
     auto t0 = std::chrono::steady_clock::now();
-    ml::TrainHistory h = vae.Train(ds.ToMatrix(), opts);
+    ml::TrainHistory h = vae.Train(ds.ToBitRows(), opts);
     auto t1 = std::chrono::steady_clock::now();
     double ms_per_epoch =
         std::chrono::duration<double, std::milli>(t1 - t0).count() /

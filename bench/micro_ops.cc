@@ -130,15 +130,45 @@ void BM_VaeEncodeBits(benchmark::State& state) {
   pc.samples = 4096;
   pc.seed = 5;
   const auto ds = workload::MakeProtoDataset(pc);
+  ml::BitRows row(1, dim);
   ml::Matrix hidden, mu;
   size_t i = 0;
   for (auto _ : state) {
-    const BitVector& v = ds.items[i++ % ds.items.size()];
-    vae.EncodeMuInto(v.words().data(), 1, &hidden, &mu);
+    row.SetRow(0, ds.items[i++ % ds.items.size()]);
+    vae.EncodeMuInto(row, &hidden, &mu);
     benchmark::DoNotOptimize(mu.data().data());
   }
 }
 BENCHMARK(BM_VaeEncodeBits)->Arg(512)->Arg(2048);
+
+void BM_VaeTrainStep(benchmark::State& state) {
+  // One training mini-batch (forward, backward, Adam step) at the
+  // e2bench model geometry: batch 64, hidden 64, latent 10, bit-row
+  // inputs. 32 distinct batches are cycled.
+  const size_t dim = static_cast<size_t>(state.range(0));
+  ml::VaeConfig cfg;
+  cfg.input_dim = dim;
+  cfg.hidden_dim = 64;
+  cfg.latent_dim = 10;
+  ml::Vae vae(cfg);
+  workload::ProtoConfig pc;
+  pc.dim = dim;
+  pc.num_classes = 8;
+  pc.samples = 32 * 64;
+  pc.seed = 6;
+  const ml::BitRows rows = workload::MakeProtoDataset(pc).ToBitRows();
+  std::vector<ml::BitRows> batches(32, ml::BitRows(64, dim));
+  for (size_t r = 0; r < rows.num_rows; ++r) {
+    batches[r / 64].CopyRowFrom(rows, r, r % 64);
+  }
+  const ml::VaeTrainOptions opts;
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        vae.TrainBatch(batches[i++ % batches.size()], opts).recon);
+  }
+}
+BENCHMARK(BM_VaeTrainStep)->Arg(512)->Arg(2048);
 
 void BM_KMeansPredict(benchmark::State& state) {
   size_t dim = static_cast<size_t>(state.range(0));
@@ -711,12 +741,54 @@ ShardedOpsResult RunShardedBench(size_t num_shards, size_t client_threads,
   return r;
 }
 
+// One full model training at the e2bench geometry — the work a shard's
+// bootstrap and every full retrain wait on: E2Model::Train (VAE
+// pretraining, k-means, joint fine-tuning) on 2048 segments of 512 bits,
+// serial kernels.
+struct TrainResult {
+  size_t rows = 0;
+  size_t bits = 0;
+  double wall_ms = 0;  // Median over the repetitions.
+  double train_flops = 0;
+};
+
+TrainResult RunTrainBench() {
+  using Clock = std::chrono::steady_clock;
+  constexpr size_t kRows = 2048;
+  constexpr size_t kBits = 512;
+  workload::ProtoConfig pc;
+  pc.dim = kBits;
+  pc.num_classes = 8;
+  pc.samples = kRows;
+  pc.seed = 7;
+  const ml::BitRows contents = workload::MakeProtoDataset(pc).ToBitRows();
+  core::E2ModelConfig mc = bench::DefaultModel(kBits, /*k=*/8);
+  mc.pretrain_epochs = 2;
+  TrainResult r;
+  r.rows = kRows;
+  r.bits = kBits;
+  std::vector<double> ms;
+  for (int rep = 0; rep < (SmokeMode() ? 1 : 5); ++rep) {
+    core::E2Model model(mc);
+    auto t0 = Clock::now();
+    if (!model.Train(contents).ok()) std::abort();
+    ms.push_back(
+        std::chrono::duration<double, std::milli>(Clock::now() - t0)
+            .count());
+    r.train_flops = model.LastTrainFlops();
+  }
+  std::sort(ms.begin(), ms.end());
+  r.wall_ms = ms[ms.size() / 2];
+  return r;
+}
+
 void WriteOpsJson(const char* path, unsigned threads, size_t batch,
                   const OpsResult& serial, const OpsResult& pooled,
                   const OpsResult& incremental, const OpsResult& narrow,
                   const OpsResult& batched,
                   size_t shards, size_t client_threads,
-                  const ShardedOpsResult& sharded) {
+                  const ShardedOpsResult& sharded,
+                  const TrainResult& train) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -785,6 +857,12 @@ void WriteOpsJson(const char* path, unsigned threads, size_t batch,
   jw.Field("speedup_vs_pooled_put",
            pooled.put_ops_s > 0 ? sharded.put_ops_s / pooled.put_ops_s
                                 : 0.0);
+  jw.EndObject();
+  jw.BeginObject("train");
+  jw.Field("rows", train.rows);
+  jw.Field("bits", train.bits);
+  jw.Field("wall_ms", train.wall_ms);
+  jw.Field("train_flops", train.train_flops, 0);
   jw.EndObject();
   jw.Finish();
   std::fclose(f);
@@ -881,10 +959,11 @@ int main(int argc, char** argv) {
     constexpr size_t kShards = 4;
     constexpr size_t kClients = 4;
     auto sharded = e2nvm::RunShardedBench(kShards, kClients, threads);
+    auto train = e2nvm::RunTrainBench();
     e2nvm::WriteOpsJson("BENCH_ops.json", threads,
                         e2nvm::MakeParams().batch, serial, pooled,
                         incremental, narrow, batched, kShards, kClients,
-                        sharded);
+                        sharded, train);
   }
   e2nvm::bench::PrintBanner(
       "BENCH_scaling", "shard-scaling curve: 1/2/4/8 shards x matching "

@@ -69,7 +69,7 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
              alloc_per_put_steady warmup_allocs retrain_allocs \
              refine_allocs refine_steps put_max_us_steady \
              put_p999_us get_p50_us get_p99_us get_p999_us \
-             undersubscribed hardware_concurrency simd_level; do
+             undersubscribed hardware_concurrency simd_level train; do
     if ! grep -q "\"$key\"" "$perf_dir/BENCH_ops.json"; then
       echo "perf smoke: key '$key' missing from BENCH_ops.json" >&2
       exit 1

@@ -161,8 +161,7 @@ class BitVector {
   std::vector<float> ToFloats() const;
 
   /// Writes size() floats (0.0f / 1.0f per bit) to `out` through the
-  /// dispatched bit->float expansion kernel — the shared featurization
-  /// path behind Bootstrap/Retrain snapshots, the replay-ring feed, and
+  /// dispatched bit->float expansion kernel — the featurization behind
   /// ToFloats. `out` must have room for size() floats.
   void AppendFloatsTo(float* out) const;
 

@@ -64,10 +64,6 @@ void ScalarAdd(float* dst, const float* src, size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] += src[i];
 }
 
-void ScalarAxpy(float* dst, const float* src, float a, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] += a * src[i];
-}
-
 void ScalarDot8(const float* a, const float* b, size_t ldb, size_t k,
                 float* out) {
   for (size_t j = 0; j < 8; ++j) {
@@ -143,8 +139,8 @@ uint32_t ScalarCrc32c(uint32_t crc, const void* data, size_t n) {
 
 constexpr KernelOps kScalarOps = {
     ScalarPopcount, ScalarHamming, ScalarDiff, ScalarBitsToFloats,
-    ScalarAdd,      ScalarAxpy,    ScalarDot8, ScalarGemv,
-    ScalarGemvBits, ScalarCrc32c,
+    ScalarAdd,      ScalarDot8,    ScalarGemv, ScalarGemvBits,
+    ScalarCrc32c,
 };
 
 // ----------------------------------------------------- dispatch --

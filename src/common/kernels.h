@@ -32,7 +32,7 @@ enum class SimdLevel : int {
 /// Each tier must produce results bit-identical to the scalar reference:
 ///  - integer kernels are trivially exact (popcounts over any grouping);
 ///  - float kernels vectorize across independent *output elements* only.
-///    `add_f32`/`axpy_f32` are element-wise; `dot8_f32` keeps 8 output
+///    `add_f32` is element-wise; `dot8_f32` keeps 8 output
 ///    columns in 8 lanes, each accumulating its k products in the same
 ///    ascending order as the scalar loop; `gemv_f32`/`gemv_bits` hold
 ///    column tiles in registers, each column summing its rows in
@@ -53,10 +53,8 @@ struct KernelOps {
   /// 0.0f/1.0f floats — the model featurization kernel.
   void (*bits_to_floats)(const uint64_t* words, size_t num_bits,
                          float* out);
-  /// dst[i] += src[i] — the GEMM av == 1.0 lane (featurized inputs).
+  /// dst[i] += src[i] (bias rows, gradient accumulation).
   void (*add_f32)(float* dst, const float* src, size_t n);
-  /// dst[i] += a * src[i] (two roundings per element, never an FMA).
-  void (*axpy_f32)(float* dst, const float* src, float a, size_t n);
   /// Eight independent dot products against consecutive rows of a
   /// row-major matrix: out[j] = sum_p a[p] * b[j * ldb + p] for
   /// j in [0, 8), each lane accumulating in ascending p.
@@ -65,11 +63,12 @@ struct KernelOps {
   /// Row-vector times row-major matrix: c[j] = sum_p a[p] * b[p * n + j]
   /// for j in [0, n), overwriting c. Each c[j] accumulates in ascending
   /// p with zero a[p] terms skipped — the same element order (and the
-  /// same skip) as MatMulInto's scalar loop, so the register-blocked
-  /// SIMD tiers are bit-identical to it. This is MatMulInto's single-row
-  /// GEMV (on the write path, the encoder's mu head): keeping the whole
-  /// k-loop inside one kernel call holds the accumulators in registers
-  /// instead of re-loading the output row once per nonzero a[p].
+  /// same skip) as the naive scalar loop, so the register-blocked SIMD
+  /// tiers are bit-identical to it. MatMulInto runs one per output row
+  /// (the write path's mu head, every training GEMM but MatMulTransB's):
+  /// keeping the whole k-loop inside one kernel call holds the
+  /// accumulators in registers instead of re-loading the output row
+  /// once per nonzero a[p].
   void (*gemv_f32)(const float* a, const float* b, size_t k, size_t n,
                    float* c);
   /// Bit-row times row-major matrix: c[j] = sum over the set bits p < k

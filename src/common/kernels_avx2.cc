@@ -124,17 +124,6 @@ void Avx2Add(float* dst, const float* src, size_t n) {
   for (; i < n; ++i) dst[i] += src[i];
 }
 
-void Avx2Axpy(float* dst, const float* src, float a, size_t n) {
-  const __m256 va = _mm256_set1_ps(a);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 prod = _mm256_mul_ps(va, _mm256_loadu_ps(src + i));
-    _mm256_storeu_ps(dst + i,
-                     _mm256_add_ps(_mm256_loadu_ps(dst + i), prod));
-  }
-  for (; i < n; ++i) dst[i] += a * src[i];
-}
-
 void Avx2Dot8(const float* a, const float* b, size_t ldb, size_t k,
               float* out) {
   // Eight output columns live in eight lanes; a strided gather pulls
@@ -301,8 +290,8 @@ uint32_t Avx2Crc32c(uint32_t crc, const void* data, size_t n) {
 
 const KernelOps kAvx2Ops = {
     Avx2Popcount, Avx2Hamming, Avx2Diff, Avx2BitsToFloats,
-    Avx2Add,      Avx2Axpy,    Avx2Dot8, Avx2Gemv,
-    Avx2GemvBits, Avx2Crc32c,
+    Avx2Add,      Avx2Dot8,    Avx2Gemv, Avx2GemvBits,
+    Avx2Crc32c,
 };
 
 }  // namespace

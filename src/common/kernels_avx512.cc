@@ -112,22 +112,6 @@ void Avx512Add(float* dst, const float* src, size_t n) {
   }
 }
 
-void Avx512Axpy(float* dst, const float* src, float a, size_t n) {
-  const __m512 va = _mm512_set1_ps(a);
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m512 prod = _mm512_mul_ps(va, _mm512_loadu_ps(src + i));
-    _mm512_storeu_ps(dst + i,
-                     _mm512_add_ps(_mm512_loadu_ps(dst + i), prod));
-  }
-  if (i < n) {
-    __mmask16 m = TailMask16(n - i);
-    __m512 prod = _mm512_mul_ps(va, _mm512_maskz_loadu_ps(m, src + i));
-    __m512 sum = _mm512_add_ps(_mm512_maskz_loadu_ps(m, dst + i), prod);
-    _mm512_mask_storeu_ps(dst + i, m, sum);
-  }
-}
-
 void Avx512Dot8(const float* a, const float* b, size_t ldb, size_t k,
                 float* out) {
   // Same column-lane layout as the AVX2 tier (8 outputs fit a __m256);
@@ -295,8 +279,8 @@ uint32_t Avx512Crc32c(uint32_t crc, const void* data, size_t n) {
 
 const KernelOps kAvx512Ops = {
     Avx512Popcount, Avx512Hamming, Avx512Diff, Avx512BitsToFloats,
-    Avx512Add,      Avx512Axpy,    Avx512Dot8, Avx512Gemv,
-    Avx512GemvBits, Avx512Crc32c,
+    Avx512Add,      Avx512Dot8,    Avx512Gemv, Avx512GemvBits,
+    Avx512Crc32c,
 };
 
 }  // namespace

@@ -16,17 +16,14 @@ BackgroundRetrainer::~BackgroundRetrainer() {
 
 void BackgroundRetrainer::TrainAndPublish(
     std::unique_ptr<placement::ContentClusterer> shadow,
-    ml::Matrix contents) {
+    ml::BitRows contents) {
   result_.status = shadow->Train(contents);
   if (result_.status.ok()) {
     result_.train_flops = shadow->LastTrainFlops();
-    const size_t n = contents.rows();
-    result_.clusters.resize(n);
-    std::vector<float> row(contents.cols());
-    for (size_t i = 0; i < n; ++i) {
-      const float* src = contents.Row(i);
-      row.assign(src, src + contents.cols());
-      result_.clusters[i] = shadow->PredictCluster(row);
+    shadow->AssignRows(contents, &result_.clusters);
+    // One prediction's flops per row, summed row by row like the
+    // energy charge of the per-row classification it replaced.
+    for (size_t i = 0; i < contents.num_rows; ++i) {
       result_.predict_flops += shadow->PredictFlops();
     }
     result_.model = std::move(shadow);
@@ -38,7 +35,7 @@ void BackgroundRetrainer::TrainAndPublish(
 
 bool BackgroundRetrainer::Start(
     std::unique_ptr<placement::ContentClusterer> shadow,
-    ml::Matrix contents, std::vector<uint64_t> addrs) {
+    ml::BitRows contents, std::vector<uint64_t> addrs) {
   if (running() || ready()) return false;
   if (worker_.joinable()) worker_.join();  // Reap the previous worker.
 
@@ -52,7 +49,7 @@ bool BackgroundRetrainer::Start(
     // Submit takes a copyable std::function; park the move-only payload
     // in a shared_ptr the (single) execution steals from.
     auto job = std::make_shared<
-        std::pair<std::unique_ptr<placement::ContentClusterer>, ml::Matrix>>(
+        std::pair<std::unique_ptr<placement::ContentClusterer>, ml::BitRows>>(
         std::move(shadow), std::move(contents));
     pool_->Submit([this, job] {
       TrainAndPublish(std::move(job->first), std::move(job->second));

@@ -28,9 +28,9 @@ namespace e2nvm::core {
 ///
 /// Protocol (all foreground calls come from the thread that owns the
 /// PlacementEngine — typically the one serving Place/Release):
-///   1. foreground snapshots the free segments' contents into a Matrix
-///      (cheap word-level expansion) and calls Start() with a fresh
-///      shadow clusterer (ContentClusterer::CloneUntrained);
+///   1. foreground snapshots the free segments' contents into bit rows
+///      (a word copy per segment) and calls Start() with a fresh shadow
+///      clusterer (ContentClusterer::CloneUntrained);
 ///   2. a dedicated worker thread trains the shadow and classifies every
 ///      snapshot row with it, then publishes the Result;
 ///   3. the foreground polls ready() on its normal write path and claims
@@ -93,7 +93,7 @@ class BackgroundRetrainer {
   /// of addrs[i]). Returns false — and takes no ownership — when a
   /// training is in flight or an unclaimed Result is pending.
   bool Start(std::unique_ptr<placement::ContentClusterer> shadow,
-             ml::Matrix contents, std::vector<uint64_t> addrs);
+             ml::BitRows contents, std::vector<uint64_t> addrs);
 
   /// Claims the finished Result (joining the worker); nullopt when none
   /// is ready. Must be called from the foreground thread.
@@ -103,7 +103,7 @@ class BackgroundRetrainer {
   /// The training body shared by both execution modes: trains `shadow`,
   /// classifies the snapshot, publishes result_ and flips ready_/running_.
   void TrainAndPublish(std::unique_ptr<placement::ContentClusterer> shadow,
-                       ml::Matrix contents);
+                       ml::BitRows contents);
 
   ThreadPool* pool_ = nullptr;  // Borrowed; must outlive the retrainer.
   std::thread worker_;

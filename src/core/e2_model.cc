@@ -20,11 +20,11 @@ E2Model::E2Model(const E2ModelConfig& config)
   vae_ = std::make_unique<ml::Vae>(vc);
 }
 
-Status E2Model::Train(const ml::Matrix& contents) {
-  if (contents.rows() < config_.k) {
+Status E2Model::Train(const ml::BitRows& contents) {
+  if (contents.num_rows < config_.k) {
     return Status::InvalidArgument("fewer segments than clusters");
   }
-  if (contents.cols() != config_.input_dim) {
+  if (contents.dim != config_.input_dim) {
     return Status::InvalidArgument("content width != model input_dim");
   }
   // Recreate the VAE so re-training starts from a fresh model (the paper
@@ -53,10 +53,10 @@ Status E2Model::Train(const ml::Matrix& contents) {
       std::vector<size_t> assign = kmeans_.PredictBatch(latent);
 
       // One epoch of cluster-regularized batches.
-      const size_t n = contents.rows();
+      const size_t n = contents.num_rows;
       for (size_t start = 0; start < n; start += config_.batch_size) {
         size_t bs = std::min(config_.batch_size, n - start);
-        ml::Matrix batch(bs, contents.cols());
+        ml::BitRows batch(bs, contents.dim);
         std::vector<size_t> batch_assign(bs);
         for (size_t i = 0; i < bs; ++i) {
           batch.CopyRowFrom(contents, start + i, i);
@@ -102,14 +102,14 @@ Status E2Model::Train(const ml::Matrix& contents) {
   return Status::Ok();
 }
 
-Status E2Model::PartialFit(const ml::Matrix& batch) {
+Status E2Model::PartialFit(const ml::BitRows& batch) {
   if (!kmeans_.fitted()) {
     return Status::FailedPrecondition("PartialFit before Train");
   }
-  if (batch.cols() != config_.input_dim) {
+  if (batch.dim != config_.input_dim) {
     return Status::InvalidArgument("batch width != model input_dim");
   }
-  if (batch.rows() == 0) {
+  if (batch.num_rows == 0) {
     last_partial_fit_flops_ = 0;
     return Status::Ok();
   }
@@ -120,7 +120,7 @@ Status E2Model::PartialFit(const ml::Matrix& batch) {
   ml::Matrix z = vae_->EncodeMu(batch);
   E2_RETURN_IF_ERROR(kmeans_.PartialFit(z));
   last_partial_fit_flops_ +=
-      vae_->PredictFlops() * static_cast<double>(batch.rows()) +
+      vae_->PredictFlops() * static_cast<double>(batch.num_rows) +
       kmeans_.PartialFitFlops(z.rows());
   return Status::Ok();
 }
@@ -137,13 +137,12 @@ void E2Model::AssignScratch(ml::InferenceScratch* scratch) {
   E2_CHECK(scratch->dim == config_.input_dim,
            "feature width %zu != input_dim %zu", scratch->dim,
            config_.input_dim);
-  vae_->EncodeMuInto(scratch->bits.data(), scratch->num_rows,
-                     &scratch->hidden, &scratch->latent);
+  vae_->EncodeMuInto(*scratch, &scratch->hidden, &scratch->latent);
   kmeans_.AssignFusedInto(scratch->latent, &scratch->scores,
                           &scratch->clusters);
 }
 
-double E2Model::LatentSse(const ml::Matrix& contents) {
+double E2Model::LatentSse(const ml::BitRows& contents) {
   ml::Matrix z = vae_->EncodeMu(contents);
   return kmeans_.Sse(z);
 }

@@ -54,7 +54,7 @@ class E2Model : public placement::ContentClusterer {
   /// optionally runs DEC-style joint fine-tuning rounds in which the VAE
   /// also minimizes distance to the assigned centroid and the centroids
   /// are re-estimated.
-  Status Train(const ml::Matrix& contents) override;
+  Status Train(const ml::BitRows& contents) override;
 
   size_t PredictCluster(const std::vector<float>& features) override;
 
@@ -79,7 +79,7 @@ class E2Model : public placement::ContentClusterer {
   /// codes. Orders of magnitude cheaper than Train; requires a prior
   /// successful Train.
   bool SupportsPartialFit() const override { return true; }
-  Status PartialFit(const ml::Matrix& batch) override;
+  Status PartialFit(const ml::BitRows& batch) override;
   double LastPartialFitFlops() const override {
     return last_partial_fit_flops_;
   }
@@ -89,7 +89,7 @@ class E2Model : public placement::ContentClusterer {
 
   /// SSE of the K-means fit on the latent codes of `contents` — the elbow
   /// objective of Fig 8.
-  double LatentSse(const ml::Matrix& contents);
+  double LatentSse(const ml::BitRows& contents);
 
   ml::Vae& vae() { return *vae_; }
   const ml::KMeans& kmeans() const { return kmeans_; }

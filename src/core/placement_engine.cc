@@ -1,6 +1,6 @@
 #include "core/placement_engine.h"
 
-#include <cstring>
+#include <algorithm>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -77,23 +77,32 @@ void PlacementEngine::SetPadder(const Padder* padder, ml::Lstm* lstm) {
   pad_lstm_ = lstm;
 }
 
-ml::Matrix PlacementEngine::ContentsMatrix(
+ml::BitRows PlacementEngine::ContentsBits(
     const std::vector<uint64_t>& addrs) const {
-  const size_t dim = ctrl_->segment_bits();
-  ml::Matrix contents(addrs.size(), dim);
+  ml::BitRows contents(addrs.size(), ctrl_->segment_bits());
+  BitVector image;
   for (size_t i = 0; i < addrs.size(); ++i) {
-    ctrl_->Peek(addrs[i]).AppendFloatsTo(contents.Row(i));
+    ctrl_->PeekInto(addrs[i], &image);
+    contents.SetRow(i, image);
   }
   return contents;
 }
 
+void PlacementEngine::InsertClassified(const ml::BitRows& contents,
+                                       const std::vector<uint64_t>& addrs) {
+  std::vector<size_t> clusters;
+  clusterer_->AssignRows(contents, &clusters);
+  for (size_t i = 0; i < addrs.size(); ++i) {
+    pool_.Insert(clusters[i], addrs[i]);
+  }
+}
+
 Status PlacementEngine::Bootstrap() {
   const size_t n = config_.num_segments;
-  const size_t dim = ctrl_->segment_bits();
   if (n == 0) return Status::InvalidArgument("engine manages no segments");
   std::vector<uint64_t> addrs(n);
   for (size_t i = 0; i < n; ++i) addrs[i] = config_.first_segment + i;
-  ml::Matrix contents = ContentsMatrix(addrs);
+  ml::BitRows contents = ContentsBits(addrs);
   E2_RETURN_IF_ERROR(clusterer_->Train(contents));
   stats_.train_flops += clusterer_->LastTrainFlops();
   // Charge model training to the CPU energy domain and the clock.
@@ -104,11 +113,7 @@ Status PlacementEngine::Bootstrap() {
       lane_, em.CpuNs(clusterer_->LastTrainFlops()));
 
   pool_.Clear();
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<float> feats(dim);
-    for (size_t d = 0; d < dim; ++d) feats[d] = contents(i, d);
-    pool_.Insert(clusterer_->PredictCluster(feats), addrs[i]);
-  }
+  InsertClassified(contents, addrs);
   policy_.OnRetrain();
   InvalidateClusterCache();
   bootstrapped_ = true;
@@ -121,8 +126,7 @@ Status PlacementEngine::Retrain() {
     return Status::FailedPrecondition(
         "too few free segments to retrain on");
   }
-  const size_t dim = ctrl_->segment_bits();
-  ml::Matrix contents = ContentsMatrix(free_addrs);
+  ml::BitRows contents = ContentsBits(free_addrs);
   E2_RETURN_IF_ERROR(clusterer_->Train(contents));
   stats_.train_flops += clusterer_->LastTrainFlops();
   const nvm::EnergyModel& em = ctrl_->device().energy_model();
@@ -132,11 +136,7 @@ Status PlacementEngine::Retrain() {
       lane_, em.CpuNs(clusterer_->LastTrainFlops()));
 
   pool_.Clear();
-  for (size_t i = 0; i < free_addrs.size(); ++i) {
-    std::vector<float> feats(dim);
-    for (size_t d = 0; d < dim; ++d) feats[d] = contents(i, d);
-    pool_.Insert(clusterer_->PredictCluster(feats), free_addrs[i]);
-  }
+  InsertClassified(contents, free_addrs);
   ++stats_.retrains;
   policy_.OnRetrain();
   InvalidateClusterCache();
@@ -151,13 +151,12 @@ Status PlacementEngine::ExtendRegion(size_t extra) {
   if (start + extra > ctrl_->num_logical()) {
     return Status::OutOfRange("extension exceeds the controller's space");
   }
-  std::vector<float> feats(ctrl_->segment_bits());
+  std::vector<uint64_t> addrs(extra);
   for (size_t i = 0; i < extra; ++i) {
-    ctrl_->PeekInto(start + i, &peek_scratch_);
-    peek_scratch_.AppendFloatsTo(feats.data());
+    addrs[i] = start + i;
     ChargePrediction();
-    pool_.Insert(clusterer_->PredictCluster(feats), start + i);
   }
+  InsertClassified(ContentsBits(addrs), addrs);
   config_.num_segments += extra;
   placed_cluster_.resize(config_.num_segments, -1);
   return Status::Ok();
@@ -349,9 +348,9 @@ StatusOr<uint64_t> PlacementEngine::PlaceAt(const BitVector& value,
     if (ring_.capacity() > 0) {
       // Replay-ring feed: the committed segment image is exactly the
       // training row a full retrain would gather for this address, and
-      // the word-level float expansion costs a fraction of the write
-      // itself (no allocation — the ring is pre-sized).
-      r.stored.AppendFloatsTo(ring_.AppendRow());
+      // copying its words costs a fraction of the write itself (no
+      // allocation — the ring is pre-sized).
+      ring_.Append(r.stored);
     }
     // Memoize the value's cluster for Release: valid only when the model
     // actually predicted it and the value fills the whole segment (so
@@ -471,15 +470,14 @@ void PlacementEngine::OnRetrainFailure(const Status& s) {
 void PlacementEngine::RefineStep() {
   const size_t batch = config_.incremental.refine_batch;
   if (batch == 0 || ring_.size() < batch) return;  // Ring still filling.
-  const size_t dim = ring_.dim();
-  refine_in_.EnsureShape(batch, dim);
+  refine_in_.Stage(batch, ring_.dim());
   // Oldest-to-newest across the last `batch` writes: successive steps
   // see a sliding window in write order, so the mini-batch sequence —
   // and therefore the refined model — is a deterministic function of
   // the write stream (the §16 determinism contract).
   for (size_t i = 0; i < batch; ++i) {
-    std::memcpy(refine_in_.Row(i), ring_.RecentRow(batch - 1 - i),
-                dim * sizeof(float));
+    std::copy_n(ring_.RecentRow(batch - 1 - i), ring_.row_words(),
+                refine_in_.BitRow(i));
   }
   Status s = clusterer_->PartialFit(refine_in_);
   if (!s.ok()) {
@@ -538,23 +536,31 @@ void PlacementEngine::SwapInShadow(BackgroundRetrainer::Result result) {
   for (size_t i = 0; i < result.addrs.size(); ++i) {
     snapshot_cluster.emplace(result.addrs[i], result.clusters[i]);
   }
+  // Two passes keep the DAP's insertion order: the first classifies
+  // the recycled addresses in one batch, the second inserts every
+  // address in free-list order.
   std::vector<uint64_t> free_addrs = pool_.AllFree();
+  std::vector<uint64_t> fresh;
+  for (uint64_t addr : free_addrs) {
+    if (!ctrl_->IsQuarantined(addr) && !snapshot_cluster.contains(addr)) {
+      fresh.push_back(addr);
+      ++stats_.swap_repredictions;
+      ChargePrediction();
+    }
+  }
+  std::vector<size_t> fresh_clusters;
+  clusterer_->AssignRows(ContentsBits(fresh), &fresh_clusters);
   pool_.Clear();
+  size_t next_fresh = 0;
   for (uint64_t addr : free_addrs) {
     if (ctrl_->IsQuarantined(addr)) {
       ++stats_.quarantine_skips;
       continue;
     }
     auto it = snapshot_cluster.find(addr);
-    size_t cluster;
-    if (it != snapshot_cluster.end()) {
-      cluster = it->second;
-    } else {
-      ++stats_.swap_repredictions;
-      ChargePrediction();
-      cluster = clusterer_->PredictCluster(ctrl_->Peek(addr).ToFloats());
-    }
-    pool_.Insert(cluster, addr);
+    pool_.Insert(it != snapshot_cluster.end() ? it->second
+                                              : fresh_clusters[next_fresh++],
+                 addr);
   }
   ++stats_.retrains;
   policy_.OnRetrain();
@@ -603,7 +609,7 @@ void PlacementEngine::MaybeAutoRetrain() {
           "too few free segments to retrain on"));
       return;
     }
-    ml::Matrix contents = ContentsMatrix(free_addrs);
+    ml::BitRows contents = ContentsBits(free_addrs);
     bg_->Start(clusterer_->CloneUntrained(), std::move(contents),
                std::move(free_addrs));
     ++stats_.background_retrains;

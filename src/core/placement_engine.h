@@ -287,9 +287,15 @@ class PlacementEngine : public index::ValuePlacer {
   /// Runs the auto-retrain policy after a placement, honoring the
   /// failure backoff.
   void MaybeAutoRetrain();
-  /// The word-level Peek -> float-matrix featurization shared by
-  /// Bootstrap, Retrain, and the background snapshot (one row per addr).
-  ml::Matrix ContentsMatrix(const std::vector<uint64_t>& addrs) const;
+  /// The contents of `addrs` as bit rows (one word copy per segment,
+  /// row i = addrs[i]) — the training and re-classification input of
+  /// Bootstrap, Retrain, the background snapshot, the shadow swap and
+  /// ExtendRegion.
+  ml::BitRows ContentsBits(const std::vector<uint64_t>& addrs) const;
+  /// Classifies every row of `contents` with the serving model (batched
+  /// AssignRows) and inserts addrs[i] into its cluster, in order.
+  void InsertClassified(const ml::BitRows& contents,
+                        const std::vector<uint64_t>& addrs);
   /// Starts/extends the exponential retrain-failure backoff.
   void OnRetrainFailure(const Status& s);
   /// One inline incremental refinement step (§16): copies the most
@@ -351,9 +357,9 @@ class PlacementEngine : public index::ValuePlacer {
   BitVector merge_scratch_;
   // Incremental learning (§16): the replay ring of committed segment
   // images (capacity 0 unless configured) and the reused mini-batch
-  // staging matrix RefineStep copies ring rows into.
+  // bit rows RefineStep copies ring rows into.
   ReplayRing ring_;
-  ml::Matrix refine_in_;
+  ml::BitRows refine_in_;
   // placed_cluster_[addr - first_segment]: cluster the serving model
   // assigned to the full-width value most recently placed at addr, or -1
   // when unknown. Lets Release recycle the address without re-encoding

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/bitvec.h"
 #include "ml/matrix.h"
 
 namespace e2nvm::core {
@@ -14,56 +15,59 @@ namespace e2nvm::core {
 ///
 /// One ring per PlacementEngine (so one per shard): the PUT path appends
 /// the committed segment image of every placement, and refinement steps
-/// read the most recent rows back as mini-batches. The backing matrix is
-/// allocated once by Reset, AppendRow only hands out slots (overwriting
-/// the oldest row once full), so the steady-state write path stays
-/// allocation-free. Rows are stored in append order and addressed
-/// newest-first via RecentRow — a deterministic function of the write
-/// stream alone, which is what makes refinement mini-batches (and
-/// therefore the refined model) seed-deterministic and pool-size
-/// invariant.
+/// read the most recent rows back as mini-batches. Images are kept as
+/// bit rows (ml::BitRows, the models' input format), so an append is a
+/// copy of the segment's words. The backing rows are allocated once by
+/// Reset and Append only overwrites slots (the oldest row once full), so
+/// the steady-state write path stays allocation-free. Rows are stored in
+/// append order and addressed newest-first via RecentRow — a
+/// deterministic function of the write stream alone, which is what
+/// makes refinement mini-batches (and therefore the refined model)
+/// seed-deterministic and pool-size invariant.
 ///
 /// Single-caller like the engine that owns it: appends and reads are
 /// serialized by the engine's external-locking contract.
 class ReplayRing {
  public:
-  /// Sizes the ring to `capacity` rows of `dim` floats (one allocation;
+  /// Sizes the ring to `capacity` rows of `dim` bits (one allocation;
   /// contents cleared). capacity 0 disables the ring.
   void Reset(size_t capacity, size_t dim) {
-    rows_ = ml::Matrix(capacity, dim);
+    rows_ = ml::BitRows(capacity, dim);
     head_ = 0;
     count_ = 0;
     appends_ = 0;
   }
 
-  /// Slot for the next row (the caller writes dim() floats into it),
-  /// overwriting the oldest row once the ring is full. Never allocates.
-  float* AppendRow() {
+  /// Copies `image` (exactly dim() bits) into the next slot, overwriting
+  /// the oldest row once the ring is full. Never allocates.
+  void Append(const BitVector& image) {
     assert(capacity() > 0);
-    float* slot = rows_.Row(head_);
+    rows_.SetRow(head_, image);
     head_ = (head_ + 1) % capacity();
     if (count_ < capacity()) ++count_;
     ++appends_;
-    return slot;
   }
 
-  /// The i-th most recent row (i = 0 is the newest append).
-  const float* RecentRow(size_t i) const {
+  /// The i-th most recent row (i = 0 is the newest append): row_words()
+  /// words laid out like BitVector::words().
+  const uint64_t* RecentRow(size_t i) const {
     assert(i < count_);
     size_t idx = (head_ + capacity() - 1 - i) % capacity();
-    return rows_.Row(idx);
+    return rows_.BitRow(idx);
   }
 
   size_t size() const { return count_; }
-  size_t capacity() const { return rows_.rows(); }
-  size_t dim() const { return rows_.cols(); }
+  size_t capacity() const { return rows_.num_rows; }
+  /// Bits per row.
+  size_t dim() const { return rows_.dim; }
+  size_t row_words() const { return rows_.row_words; }
   /// Lifetime appends (diagnostics and determinism tests).
   uint64_t total_appends() const { return appends_; }
-  /// Raw backing matrix, for byte-level determinism comparisons.
-  const ml::Matrix& raw() const { return rows_; }
+  /// Raw backing rows, for byte-level determinism comparisons.
+  const ml::BitRows& raw() const { return rows_; }
 
  private:
-  ml::Matrix rows_;
+  ml::BitRows rows_;
   size_t head_ = 0;
   size_t count_ = 0;
   uint64_t appends_ = 0;

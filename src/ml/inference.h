@@ -2,12 +2,9 @@
 #define E2NVM_ML_INFERENCE_H_
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
-#include "common/bitvec.h"
-#include "common/kernels.h"
 #include "ml/matrix.h"
 
 namespace e2nvm::ml {
@@ -20,8 +17,9 @@ namespace e2nvm::ml {
 /// buffers hold B staged values and the whole batch runs through one
 /// encoder pass and one fused assignment.
 ///
-/// Values are staged as **bit rows** — the model image of each value,
-/// word for word — not as 0.0/1.0 floats: the VAE's first layer sums
+/// Values are staged as **bit rows** (the BitRows base, the same type
+/// training consumes) — the model image of each value, word for word —
+/// not as 0.0/1.0 floats: the VAE's first layer sums
 /// the weight rows of the set bits directly (KernelOps::gemv_bits).
 /// Clusterers whose model consumes floats expand the rows on demand
 /// (ExpandFloats).
@@ -31,17 +29,10 @@ namespace e2nvm::ml {
 /// share the reference kernels' accumulation order, and the fused
 /// assignment re-checks near-minimal candidates with the exact distance
 /// (see KMeans::AssignFusedInto).
-struct InferenceScratch {
-  /// Staged rows, `dim` bits each (the model input width).
-  size_t num_rows = 0;
-  size_t dim = 0;
-  /// Words per staged row: ceil(dim / 64).
-  size_t row_words = 0;
-  /// num_rows x row_words words, LSB-first per word like
-  /// BitVector::words(); bits at or above `dim` are zero.
-  std::vector<uint64_t> bits;
-  /// The bit rows expanded to 0.0f/1.0f (num_rows x dim) — filled only
-  /// by ExpandFloats, for clusterers whose model consumes floats.
+struct InferenceScratch : BitRows {
+  /// The staged bit rows expanded to 0.0f/1.0f (num_rows x dim) —
+  /// filled only by ExpandFloats, for clusterers whose model consumes
+  /// floats.
   Matrix features;
   /// Encoder hidden activations (B x hidden_dim).
   Matrix hidden;
@@ -55,31 +46,6 @@ struct InferenceScratch {
   /// holds the value's model image; 0 = featurization failed, the row
   /// is all zeros and the value takes the model-fallback path).
   std::vector<uint8_t> row_ok;
-
-  /// Shapes the scratch for `rows` rows of `width` bits. Grow-only: at
-  /// a steady shape this allocates nothing. Row contents are
-  /// unspecified until SetRow/ClearRow.
-  void Stage(size_t rows, size_t width) {
-    num_rows = rows;
-    dim = width;
-    row_words = (width + 63) / 64;
-    bits.resize(rows * row_words);
-  }
-
-  uint64_t* BitRow(size_t r) { return bits.data() + r * row_words; }
-  const uint64_t* BitRow(size_t r) const {
-    return bits.data() + r * row_words;
-  }
-
-  /// Copies `image` (exactly dim bits) into row r.
-  void SetRow(size_t r, const BitVector& image) {
-    assert(image.size() == dim);
-    std::copy_n(image.words().data(), row_words, BitRow(r));
-  }
-
-  void ClearRow(size_t r) {
-    std::fill(BitRow(r), BitRow(r) + row_words, uint64_t{0});
-  }
 
   /// Drops the first `n` rows and their row_ok flags (row_ok holds one
   /// flag per row), moving the rest to the front — the mid-batch
@@ -96,11 +62,7 @@ struct InferenceScratch {
   /// float input of clusterers that cannot consume bits. Allocation-free
   /// once `features` has reached its working shape.
   const Matrix& ExpandFloats() {
-    features.EnsureShape(num_rows, dim);
-    const KernelOps& kern = Ops();
-    for (size_t r = 0; r < num_rows; ++r) {
-      kern.bits_to_floats(BitRow(r), dim, features.Row(r));
-    }
+    ExpandInto(&features);
     return features;
   }
 };

@@ -41,7 +41,41 @@ Matrix Dense::Backward(const Matrix& dy) {
   AddInPlace(w_.grad, dw);
   std::vector<float> db = ColSums(dy);
   for (size_t j = 0; j < db.size(); ++j) b_.grad(0, j) += db[j];
-  return MatMulTransB(dy, w_.value);
+  // dY (W^T) through MatMul's register-tiled row GEMVs rather than
+  // MatMulTransB's dot products, which gather W's columns: both sum
+  // each element's products in ascending order from +0.0, and MatMul's
+  // skipped zero dY terms would add only +-0.0, so the bits match.
+  Matrix wt;
+  TransposeInto(w_.value, &wt);
+  return MatMul(dy, wt);
+}
+
+BitDense::BitDense(size_t in, size_t out, Rng& rng)
+    : in_(in), out_(out), w_(in, out), b_(1, out) {
+  w_.value.XavierInit(rng, in, out);
+}
+
+void BitDense::Forward(const BitRows& x, Matrix* y) const {
+  BitMatMulInto(x, w_.value, y);
+  AddRowVector(*y, b_.value.data());
+}
+
+void BitDense::Backward(const BitRows& x, const Matrix& dy) {
+  TransposeInto(x, &xt_);
+  BitMatMulInto(xt_, dy, &dw_);
+  AddInPlace(w_.grad, dw_);
+  std::vector<float> db = ColSums(dy);
+  for (size_t j = 0; j < db.size(); ++j) b_.grad(0, j) += db[j];
+}
+
+void BitDense::Step(const AdamConfig& cfg, int t) {
+  w_.Step(cfg, t);
+  b_.Step(cfg, t);
+}
+
+void BitDense::ZeroGrad() {
+  w_.ZeroGrad();
+  b_.ZeroGrad();
 }
 
 void Dense::Step(const AdamConfig& cfg, int t) {

@@ -90,6 +90,45 @@ class Dense : public Layer {
   Matrix x_cache_;
 };
 
+/// Fully-connected input layer over bit rows: Y = X W + b, W is
+/// (in x out) and X's rows are bit strings (a VAE over segment
+/// contents). Row r of X W sums the W rows of row r's set bits
+/// (BitMatMulInto), and the weight gradient X^T dY sums, per input bit,
+/// the dY rows of the batch rows that have it set — the same additions
+/// in the same order as Dense on the 0.0/1.0 expansion, so parameters
+/// train bit-identically. There is no input gradient: the input is
+/// data, not an activation, so nothing upstream could use one.
+class BitDense {
+ public:
+  BitDense(size_t in, size_t out, Rng& rng);
+
+  /// y = x W + b (EnsureShape'd to x.num_rows x out).
+  void Forward(const BitRows& x, Matrix* y) const;
+  /// Accumulates dW += x^T dy and db += colsum(dy) for the batch `x`
+  /// that produced dy.
+  void Backward(const BitRows& x, const Matrix& dy);
+  void Step(const AdamConfig& cfg, int t);
+  void ZeroGrad();
+  size_t ParamCount() const { return w_.size() + b_.size(); }
+  double ForwardFlops(size_t batch) const {
+    return 2.0 * static_cast<double>(batch) * static_cast<double>(in_) *
+           static_cast<double>(out_);
+  }
+
+  ParamBlock& weights() { return w_; }
+  ParamBlock& bias() { return b_; }
+
+ private:
+  size_t in_;
+  size_t out_;
+  ParamBlock w_;
+  ParamBlock b_;  // 1 x out
+  // Backward scratch, reused across batches: the batch transposed to
+  // one bit row per input column, and the batch's weight gradient.
+  BitRows xt_;
+  Matrix dw_;
+};
+
 /// Elementwise sigmoid.
 class Sigmoid : public Layer {
  public:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -63,6 +64,23 @@ bool UsePool(ThreadPool* pool, size_t rows, size_t grain,
          ThreadPool::NumBlocks(rows, grain) > 1;
 }
 
+/// Runs rows(lo, hi) over the output rows [0, m) of a row-parallel
+/// kernel: on the compute pool in work-sized blocks when that pays, else
+/// inline as one range. Rows are independent, so any split gives the
+/// same bits.
+template <typename F>
+void ForRowBlocks(size_t m, double macs_per_row, const F& rows) {
+  ThreadPool* pool = compute_pool();
+  const size_t grain = WorkGrain(m, macs_per_row);
+  if (UsePool(pool, m, grain, macs_per_row * m)) {
+    pool->ParallelForBlocks(0, m, grain, [&](size_t lo, size_t hi, size_t) {
+      rows(lo, hi);
+    });
+  } else {
+    rows(0, m);
+  }
+}
+
 }  // namespace
 
 void SetComputePool(ThreadPool* pool) {
@@ -101,56 +119,72 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   assert(a.cols() == b.rows());
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
   c->EnsureShape(m, n);
-  if (m == 1) {
-    // The write path's single-row encode: one register-blocked GEMV call
-    // instead of k dispatched row updates. Same per-element ascending-p
-    // accumulation (and the same a[p] == 0 skip), so still bit-identical
-    // to the block loop below — see kernels.h gemv_f32.
-    Ops().gemv_f32(a.Row(0), b.Row(0), k, n, c->Row(0));
-    return;
-  }
-  std::fill(c->data().begin(), c->data().end(), 0.0f);
-  // p-outer within each row block: every B row is loaded once per block
-  // and reused across all of the block's A rows, so a batched GEMM
-  // touches B ~block-height times less than row-at-a-time GEMVs would.
-  // Each c[i][j] still accumulates its k products in ascending-p order,
-  // so the result is bit-identical to the naive i-outer loop (this is
-  // what lets MultiPut's batched mu-head GEMM match sequential Puts).
-  // The av == 1.0f lane matters more than it looks: training's encoder
-  // inputs are featurized bit patterns (every element 0.0 or 1.0), so
-  // those GEMMs reduce to summing the B rows selected by set bits — and
-  // 1.0f * x == x exactly, so the specialization stays bit-identical
-  // for every input (the write path sums those rows straight from the
-  // bits: kernels.h gemv_bits). The j-inner lanes run through the
-  // dispatched SIMD kernels, which are element-wise over j (each
-  // c[i][j] still sees its products in ascending-p, mul-then-add
-  // order — see kernels.h).
+  // One register-blocked GEMV per row (kernels.h gemv_f32): each
+  // c[i][j] accumulates its k products in ascending-p order from +0.0
+  // with zero a[i][p] skipped, so the result is bit-identical to the
+  // naive i-outer loop whatever the row split (this is what lets
+  // MultiPut's batched mu-head GEMM match sequential Puts), and the
+  // column tile stays in registers across the whole k loop.
   const KernelOps& kern = Ops();
-  auto rows = [&](size_t lo, size_t hi) {
-    for (size_t p = 0; p < k; ++p) {
-      const float* brow = b.Row(p);
-      for (size_t i = lo; i < hi; ++i) {
-        const float av = a.Row(i)[p];
-        if (av == 0.0f) continue;
-        float* crow = c->Row(i);
-        if (av == 1.0f) {
-          kern.add_f32(crow, brow, n);
-        } else {
-          kern.axpy_f32(crow, brow, av, n);
-        }
+  ForRowBlocks(m, static_cast<double>(k) * n, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      kern.gemv_f32(a.Row(i), b.Row(0), k, n, c->Row(i));
+    }
+  });
+}
+
+void BitRows::ExpandInto(Matrix* out) const {
+  out->EnsureShape(num_rows, dim);
+  const KernelOps& kern = Ops();
+  for (size_t r = 0; r < num_rows; ++r) {
+    kern.bits_to_floats(BitRow(r), dim, out->Row(r));
+  }
+}
+
+void TransposeInto(const BitRows& x, BitRows* xt) {
+  xt->Stage(x.dim, x.num_rows);
+  std::fill(xt->bits.begin(), xt->bits.end(), uint64_t{0});
+  // Scatter each set bit (p, i) to (i, p): work is proportional to the
+  // set bits, and every mask word is written by ascending rows p.
+  const size_t tw = xt->row_words;
+  for (size_t p = 0; p < x.num_rows; ++p) {
+    const uint64_t* row = x.BitRow(p);
+    uint64_t* col = xt->bits.data() + p / 64;
+    const uint64_t bit = uint64_t{1} << (p % 64);
+    for (size_t w = 0; w < x.row_words; ++w) {
+      for (uint64_t m = row[w]; m != 0; m &= m - 1) {
+        const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(m));
+        col[i * tw] |= bit;
       }
     }
-  };
-  ThreadPool* pool = compute_pool();
-  const double macs_per_row = static_cast<double>(k) * n;
-  const size_t grain = WorkGrain(m, macs_per_row);
-  if (UsePool(pool, m, grain, macs_per_row * m)) {
-    pool->ParallelForBlocks(0, m, grain,
-                            [&](size_t lo, size_t hi, size_t) {
-                              rows(lo, hi);
-                            });
-  } else {
-    rows(0, m);
+  }
+}
+
+void BitMatMulInto(const BitRows& a, const Matrix& b, Matrix* c) {
+  assert(a.dim == b.rows());
+  const size_t m = a.num_rows, k = a.dim, n = b.cols();
+  c->EnsureShape(m, n);
+  const KernelOps& kern = Ops();
+  ForRowBlocks(m, static_cast<double>(k) * n, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      kern.gemv_bits(a.BitRow(i), k, b.Row(0), n, c->Row(i));
+    }
+  });
+}
+
+void TransposeInto(const Matrix& a, Matrix* at) {
+  const size_t rows = a.rows(), cols = a.cols();
+  at->EnsureShape(cols, rows);
+  // 16x16 tiles keep both the reads and the strided writes in cache.
+  constexpr size_t kTile = 16;
+  for (size_t i0 = 0; i0 < rows; i0 += kTile) {
+    const size_t i1 = std::min(i0 + kTile, rows);
+    for (size_t j0 = 0; j0 < cols; j0 += kTile) {
+      const size_t j1 = std::min(j0 + kTile, cols);
+      for (size_t i = i0; i < i1; ++i) {
+        for (size_t j = j0; j < j1; ++j) at->Row(j)[i] = a.Row(i)[j];
+      }
+    }
   }
 }
 
@@ -169,7 +203,7 @@ void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* c) {
   // below (kernels.h dot8_f32 contract), so any column split is
   // bit-identical to the all-scalar result.
   const KernelOps& kern = Ops();
-  auto rows = [&](size_t lo, size_t hi) {
+  ForRowBlocks(m, static_cast<double>(k) * n, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       const float* arow = a.Row(i);
       float* crow = c->Row(i);
@@ -184,18 +218,7 @@ void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* c) {
         crow[j] = s;
       }
     }
-  };
-  ThreadPool* pool = compute_pool();
-  const double macs_per_row = static_cast<double>(k) * n;
-  const size_t grain = WorkGrain(m, macs_per_row);
-  if (UsePool(pool, m, grain, macs_per_row * m)) {
-    pool->ParallelForBlocks(0, m, grain,
-                            [&](size_t lo, size_t hi, size_t) {
-                              rows(lo, hi);
-                            });
-  } else {
-    rows(0, m);
-  }
+  });
 }
 
 Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
@@ -206,49 +229,18 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
 
 Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows());
-  Matrix c(a.cols(), b.cols());
-  const size_t k = a.rows(), m = a.cols(), n = b.cols();
-  ThreadPool* pool = compute_pool();
-  const KernelOps& kern = Ops();
-  const double macs_per_row = static_cast<double>(k) * n;
-  const size_t grain = WorkGrain(m, macs_per_row);
-  if (UsePool(pool, m, grain, macs_per_row * m)) {
-    // Parallel over output rows i (columns of a): each c row accumulates
-    // over p in the same ascending order as the serial loop below, so the
-    // result is bit-identical; only the loop nest is exchanged.
-    pool->ParallelForBlocks(
-        0, m, grain, [&](size_t lo, size_t hi, size_t) {
-          for (size_t i = lo; i < hi; ++i) {
-            float* crow = c.Row(i);
-            for (size_t p = 0; p < k; ++p) {
-              const float av = a.Row(p)[i];
-              if (av == 0.0f) continue;
-              kern.axpy_f32(crow, b.Row(p), av, n);
-            }
-          }
-        });
-    return c;
-  }
-  for (size_t p = 0; p < k; ++p) {
-    const float* arow = a.Row(p);
-    const float* brow = b.Row(p);
-    for (size_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      kern.axpy_f32(c.Row(i), brow, av, n);
-    }
-  }
+  // (A^T) B with A^T materialized: MatMulInto then sums each output
+  // element's products in ascending p with zero terms skipped — the
+  // order of the textbook p-outer A^T B loop — in register tiles.
+  Matrix at, c;
+  TransposeInto(a, &at);
+  MatMulInto(at, b, &c);
   return c;
 }
 
 void AddInPlace(Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows() && a.cols() == b.cols());
   Ops().add_f32(a.data().data(), b.data().data(), a.size());
-}
-
-void Axpy(Matrix& a, const Matrix& b, float scale) {
-  assert(a.rows() == b.rows() && a.cols() == b.cols());
-  Ops().axpy_f32(a.data().data(), b.data().data(), scale, a.size());
 }
 
 void AddRowVector(Matrix& a, const std::vector<float>& bias) {

@@ -1,10 +1,13 @@
 #ifndef E2NVM_ML_MATRIX_H_
 #define E2NVM_ML_MATRIX_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "common/bitvec.h"
 #include "common/rng.h"
 
 namespace e2nvm {
@@ -113,7 +116,95 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// C = A * B. Shapes: (m x k) * (k x n) -> (m x n).
+/// A batch of bit strings, one per row — the input format of every
+/// model trained on segment contents and of the write-path encoder. Row
+/// r is `row_words` LSB-first words (the layout of BitVector::words()),
+/// and bits at or above `dim` are zero. The VAE's first layer sums the
+/// weight rows of the set bits (BitMatMulInto) instead of multiplying a
+/// 0.0/1.0 float expansion; models that consume floats expand once
+/// (ExpandInto).
+struct BitRows {
+  size_t num_rows = 0;
+  /// Bits per row (the model input width).
+  size_t dim = 0;
+  /// Words per row: ceil(dim / 64).
+  size_t row_words = 0;
+  /// num_rows x row_words words.
+  std::vector<uint64_t> bits;
+
+  BitRows() = default;
+  /// `rows` all-zero rows of `width` bits.
+  BitRows(size_t rows, size_t width)
+      : num_rows(rows),
+        dim(width),
+        row_words((width + 63) / 64),
+        bits(rows * row_words, 0) {}
+
+  /// Shapes for `rows` rows of `width` bits. Grow-only: at a steady
+  /// shape this allocates nothing. Row contents are unspecified until
+  /// SetRow/ClearRow/CopyRowFrom.
+  void Stage(size_t rows, size_t width) {
+    num_rows = rows;
+    dim = width;
+    row_words = (width + 63) / 64;
+    bits.resize(rows * row_words);
+  }
+
+  uint64_t* BitRow(size_t r) { return bits.data() + r * row_words; }
+  const uint64_t* BitRow(size_t r) const {
+    return bits.data() + r * row_words;
+  }
+
+  bool Get(size_t r, size_t d) const {
+    assert(r < num_rows && d < dim);
+    return (BitRow(r)[d >> 6] >> (d & 63)) & 1u;
+  }
+
+  /// Copies `image` (exactly dim bits) into row r.
+  void SetRow(size_t r, const BitVector& image) {
+    assert(image.size() == dim);
+    std::copy_n(image.words().data(), row_words, BitRow(r));
+  }
+
+  void ClearRow(size_t r) {
+    std::fill(BitRow(r), BitRow(r) + row_words, uint64_t{0});
+  }
+
+  /// Copies row `src_row` of `src` into row `dst_row` (same dim).
+  void CopyRowFrom(const BitRows& src, size_t src_row, size_t dst_row) {
+    assert(src.dim == dim);
+    std::copy_n(src.BitRow(src_row), row_words, BitRow(dst_row));
+  }
+
+  /// Expands the rows to 0.0f/1.0f floats in `out` (num_rows x dim) —
+  /// the input of models that cannot consume bits. Allocation-free once
+  /// `out` has reached its working shape.
+  void ExpandInto(Matrix* out) const;
+};
+
+/// Writes the transpose of `x` into `xt`: xt has x.dim rows of
+/// x.num_rows bits, and bit p of row i is bit i of x's row p. A batch of
+/// 64 rows transposes into one word per input column, a batch of 70
+/// into two. Grow-only in `xt`'s storage.
+void TransposeInto(const BitRows& x, BitRows* xt);
+
+/// C = A * B for a bit-row A (m rows of k = a.dim bits) and B (k x n),
+/// into a caller-owned matrix (EnsureShape'd to m x n). Row r of C sums
+/// the B rows of row r's set bits in ascending order from +0.0
+/// (KernelOps::gemv_bits) — exactly the additions MatMulInto performs on
+/// the 0.0/1.0 expansion of A, so the result is bit-identical to it.
+/// With A = TransposeInto(X) this is X^T * B, bit-identical to
+/// MatMulTransA on the expansion of X (the first layer's weight
+/// gradient).
+void BitMatMulInto(const BitRows& a, const Matrix& b, Matrix* c);
+
+/// at = a^T (EnsureShape'd to a.cols() x a.rows()).
+void TransposeInto(const Matrix& a, Matrix* at);
+
+/// C = A * B. Shapes: (m x k) * (k x n) -> (m x n). Every element sums
+/// its products in ascending p from +0.0, skipping zero A entries
+/// (exact: such a sum is never -0.0, so a +-0.0 product cannot change
+/// it while B is finite).
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
 /// C = A * B into a caller-owned scratch matrix (EnsureShape'd to m x n).
@@ -128,14 +219,12 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 /// Allocation-free MatMulTransB (bit-identical; see MatMulInto).
 void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* c);
 
-/// C = A^T * B. Shapes: (k x m) * (k x n) -> (m x n).
+/// C = A^T * B. Shapes: (k x m) * (k x n) -> (m x n). MatMul on the
+/// transpose of A, so the same ascending-p order.
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 
 /// Elementwise a += b (same shape).
 void AddInPlace(Matrix& a, const Matrix& b);
-
-/// Elementwise a += scale * b (same shape).
-void Axpy(Matrix& a, const Matrix& b, float scale);
 
 /// Adds a row vector `bias` (1 x n) to every row of `a` (m x n).
 void AddRowVector(Matrix& a, const std::vector<float>& bias);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 
-#include "common/kernels.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 
@@ -32,18 +31,35 @@ void ForElements(size_t n,
   }
 }
 
-double BceSum(const Matrix& probs, const Matrix& x) {
+/// Calls body(i, t) for flat element indices i in [lo, hi) of a
+/// num_rows x dim matrix, with t the target bit of element i in `x`.
+template <typename Body>
+void ForTargets(const BitRows& x, size_t lo, size_t hi, Body body) {
+  for (size_t r = lo / x.dim; r * x.dim < hi; ++r) {
+    const size_t base = r * x.dim;
+    const size_t end = std::min(hi - base, x.dim);
+    const uint64_t* row = x.BitRow(r);
+    for (size_t j = std::max(lo, base) - base; j < end; ++j) {
+      body(base + j, (row[j >> 6] >> (j & 63)) & 1u);
+    }
+  }
+}
+
+double BceSum(const Matrix& probs, const BitRows& x) {
   std::vector<double> partial(
       std::max<size_t>(ThreadPool::NumBlocks(probs.size(), kElemGrain), 1),
       0.0);
   ForElements(probs.size(), [&](size_t lo, size_t hi, size_t blk) {
     double l = 0.0;
-    for (size_t i = lo; i < hi; ++i) {
-      float p = std::clamp(probs.data()[i], 1e-7f, 1.0f - 1e-7f);
-      float t = x.data()[i];
-      l -= static_cast<double>(t) * std::log(p) +
-           (1.0 - static_cast<double>(t)) * std::log(1.0f - p);
-    }
+    ForTargets(x, lo, hi, [&](size_t i, bool t) {
+      const float p = std::clamp(probs.data()[i], 1e-7f, 1.0f - 1e-7f);
+      // The target is 0 or 1, so only the term it selects counts: the
+      // other is 0 * (a finite log) = -0.0, which leaves the sum exact.
+      // Selecting the argument (not the call) keeps the loop free of a
+      // branch on random target bits.
+      const float q = 1.0f - p;
+      l -= static_cast<double>(std::log(t ? p : q));
+    });
     partial[blk] += l;
   });
   double loss = 0.0;
@@ -63,12 +79,10 @@ Matrix SigmoidAll(const Matrix& logits) {
 }
 }  // namespace
 
-Vae::Vae(const VaeConfig& config) : config_(config), rng_(config.seed) {
-  auto enc_in = std::make_unique<Dense>(config.input_dim,
-                                        config.hidden_dim, rng_);
-  enc_in_ = enc_in.get();
-  encoder_body_.Add(std::move(enc_in));
-  encoder_body_.Add(std::make_unique<Relu>());
+Vae::Vae(const VaeConfig& config)
+    : config_(config),
+      rng_(config.seed),
+      enc_in_(config.input_dim, config.hidden_dim, rng_) {
   mu_head_ =
       std::make_unique<Dense>(config.hidden_dim, config.latent_dim, rng_);
   logvar_head_ =
@@ -80,43 +94,41 @@ Vae::Vae(const VaeConfig& config) : config_(config), rng_(config.seed) {
       std::make_unique<Dense>(config.hidden_dim, config.input_dim, rng_));
 }
 
-void Vae::EncodeForward(const Matrix& x, Matrix* mu, Matrix* logvar) {
-  Matrix h = encoder_body_.Forward(x);
+void Vae::EncodeForward(const BitRows& x, Matrix* mu, Matrix* logvar) {
+  E2_CHECK(x.dim == config_.input_dim, "input width %zu != input_dim %zu",
+           x.dim, config_.input_dim);
+  Matrix h;
+  enc_in_.Forward(x, &h);
+  h = enc_relu_.Forward(h);
   *mu = mu_head_->Forward(h);
   *logvar = logvar_head_->Forward(h);
   for (auto& v : logvar->data()) v = std::clamp(v, kLogvarMin, kLogvarMax);
 }
 
-Matrix Vae::EncodeMu(const Matrix& x) {
-  Matrix mu, logvar;
-  EncodeForward(x, &mu, &logvar);
+Matrix Vae::EncodeMu(const BitRows& x) {
+  Matrix hidden, mu;
+  EncodeMuInto(x, &hidden, &mu);
   return mu;
 }
 
 std::vector<float> Vae::EncodeOne(const std::vector<float>& x) {
   E2_CHECK(x.size() == config_.input_dim, "EncodeOne dim mismatch");
-  Matrix xm(1, config_.input_dim, x);
-  Matrix mu = EncodeMu(xm);
+  // The float twin of EncodeMuInto: MatMul on a 0.0/1.0 row performs
+  // exactly gemv_bits' additions (kernels.h), the rest is shared.
+  Matrix h =
+      MatMul(Matrix(1, config_.input_dim, x), enc_in_.weights().value);
+  AddRowVector(h, enc_in_.bias().value.data());
+  ReluInPlace(h);
+  Matrix mu = MatMul(h, mu_head_->weights().value);
+  AddRowVector(mu, mu_head_->bias().value.data());
   return mu.data();
 }
 
-void Vae::EncodeMuInto(const uint64_t* bit_rows, size_t rows,
-                       Matrix* hidden, Matrix* mu) {
-  const size_t in = config_.input_dim;
-  const size_t row_words = (in + 63) / 64;
-  const size_t hid = config_.hidden_dim;
-  // Mirrors EncodeForward's mu branch op for op (Dense::Forward is
-  // MatMul + AddRowVector; Relu::Forward's outputs are max(v, 0)). The
-  // first MatMul's input is all 0.0/1.0, so its per-element sums are
-  // exactly gemv_bits' sums of the selected W1 rows; the latent codes
-  // match EncodeMu bit for bit.
-  hidden->EnsureShape(rows, hid);
-  const KernelOps& kern = Ops();
-  const float* w1 = enc_in_->weights().value.Row(0);
-  for (size_t r = 0; r < rows; ++r) {
-    kern.gemv_bits(bit_rows + r * row_words, in, w1, hid, hidden->Row(r));
-  }
-  AddRowVector(*hidden, enc_in_->bias().value.data());
+void Vae::EncodeMuInto(const BitRows& x, Matrix* hidden, Matrix* mu) {
+  // The mu branch of EncodeForward op for op (Relu::Forward's outputs
+  // are max(v, 0); Dense::Forward is MatMul + AddRowVector), so the
+  // latent codes match a training forward pass bit for bit.
+  enc_in_.Forward(x, hidden);
   ReluInPlace(*hidden);
   MatMulInto(*hidden, mu_head_->weights().value, mu);
   AddRowVector(*mu, mu_head_->bias().value.data());
@@ -127,8 +139,9 @@ Matrix Vae::Decode(const Matrix& z) {
   return SigmoidAll(logits);
 }
 
-Vae::BatchLoss Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts) {
-  const size_t batch = x.rows();
+Vae::BatchLoss Vae::TrainBatch(const BitRows& x,
+                               const VaeTrainOptions& opts) {
+  const size_t batch = x.num_rows;
   const float inv_batch = 1.0f / static_cast<float>(batch);
 
   // ---- Forward ----
@@ -162,9 +175,11 @@ Vae::BatchLoss Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts) {
   // d(BCE with logits)/dlogits = (p - x), averaged over the batch.
   Matrix dlogits(probs.rows(), probs.cols());
   ForElements(probs.size(), [&](size_t lo, size_t hi, size_t) {
-    for (size_t i = lo; i < hi; ++i) {
-      dlogits.data()[i] = (probs.data()[i] - x.data()[i]) * inv_batch;
-    }
+    ForTargets(x, lo, hi, [&](size_t i, bool t) {
+      // float(t) is exactly the 0.0f/1.0f target, without a branch.
+      dlogits.data()[i] =
+          (probs.data()[i] - static_cast<float>(t)) * inv_batch;
+    });
   });
   Matrix dz = decoder_.Backward(dlogits);
 
@@ -203,38 +218,38 @@ Vae::BatchLoss Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts) {
 
   Matrix dh = mu_head_->Backward(dmu);
   AddInPlace(dh, logvar_head_->Backward(dlogvar));
-  encoder_body_.Backward(dh);
+  enc_in_.Backward(x, enc_relu_.Backward(dh));
 
   // ---- Update ----
   ++step_;
-  encoder_body_.Step(config_.adam, step_);
+  enc_in_.Step(config_.adam, step_);
   mu_head_->Step(config_.adam, step_);
   logvar_head_->Step(config_.adam, step_);
   decoder_.Step(config_.adam, step_);
-  encoder_body_.ZeroGrad();
+  enc_in_.ZeroGrad();
   mu_head_->ZeroGrad();
   logvar_head_->ZeroGrad();
   decoder_.ZeroGrad();
   return loss;
 }
 
-double Vae::EvalLoss(const Matrix& x) {
+double Vae::EvalLoss(const BitRows& x) {
   Matrix mu, logvar;
   EncodeForward(x, &mu, &logvar);
   Matrix probs = Decode(mu);  // eps = 0: z = mu.
-  double recon = BceSum(probs, x) / static_cast<double>(x.rows());
+  double recon = BceSum(probs, x) / static_cast<double>(x.num_rows);
   double kl = 0.0;
   for (size_t i = 0; i < mu.size(); ++i) {
     float m = mu.data()[i];
     float lv = logvar.data()[i];
     kl += -0.5 * (1.0 + lv - m * m - std::exp(lv));
   }
-  return recon + config_.beta * kl / static_cast<double>(x.rows());
+  return recon + config_.beta * kl / static_cast<double>(x.num_rows);
 }
 
-TrainHistory Vae::Train(const Matrix& x, const VaeTrainOptions& opts) {
+TrainHistory Vae::Train(const BitRows& x, const VaeTrainOptions& opts) {
   TrainHistory history;
-  const size_t n = x.rows();
+  const size_t n = x.num_rows;
   Rng shuffle_rng(opts.shuffle_seed);
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = i;
@@ -245,7 +260,7 @@ TrainHistory Vae::Train(const Matrix& x, const VaeTrainOptions& opts) {
   val_n = std::min(val_n, n > 1 ? n - 1 : size_t{0});
   size_t train_n = n - val_n;
 
-  Matrix val(val_n, x.cols());
+  BitRows val(val_n, x.dim);
   for (size_t i = 0; i < val_n; ++i) {
     val.CopyRowFrom(x, order[train_n + i], i);
   }
@@ -256,7 +271,7 @@ TrainHistory Vae::Train(const Matrix& x, const VaeTrainOptions& opts) {
     size_t batches = 0;
     for (size_t start = 0; start < train_n; start += opts.batch_size) {
       size_t bs = std::min(opts.batch_size, train_n - start);
-      Matrix batch(bs, x.cols());
+      BitRows batch(bs, x.dim);
       for (size_t i = 0; i < bs; ++i) {
         batch.CopyRowFrom(x, order[start + i], i);
       }
@@ -278,8 +293,8 @@ TrainHistory Vae::Train(const Matrix& x, const VaeTrainOptions& opts) {
   return history;
 }
 
-double Vae::PartialFit(const Matrix& x, size_t batch_size) {
-  const size_t n = x.rows();
+double Vae::PartialFit(const BitRows& x, size_t batch_size) {
+  const size_t n = x.num_rows;
   if (n == 0) return 0.0;
   const size_t bs_cap = batch_size == 0 ? n : batch_size;
   VaeTrainOptions opts;  // Pure ELBO; no clustering term.
@@ -289,7 +304,7 @@ double Vae::PartialFit(const Matrix& x, size_t batch_size) {
     if (bs == n) {
       TrainBatch(x, opts);
     } else {
-      Matrix batch(bs, x.cols());
+      BitRows batch(bs, x.dim);
       for (size_t i = 0; i < bs; ++i) batch.CopyRowFrom(x, start + i, i);
       TrainBatch(batch, opts);
     }
@@ -307,7 +322,7 @@ double Vae::PredictFlops() const {
 }
 
 double Vae::TrainStepFlops(size_t batch) const {
-  double fwd = encoder_body_.ForwardFlops(batch) +
+  double fwd = enc_in_.ForwardFlops(batch) + enc_relu_.ForwardFlops(batch) +
                mu_head_->ForwardFlops(batch) +
                logvar_head_->ForwardFlops(batch) +
                decoder_.ForwardFlops(batch);
@@ -315,8 +330,18 @@ double Vae::TrainStepFlops(size_t batch) const {
 }
 
 size_t Vae::ParamCount() const {
-  return encoder_body_.ParamCount() + mu_head_->ParamCount() +
+  return enc_in_.ParamCount() + mu_head_->ParamCount() +
          logvar_head_->ParamCount() + decoder_.ParamCount();
+}
+
+std::vector<ParamBlock*> Vae::Params() {
+  auto& dec_hidden = static_cast<Dense&>(decoder_.layer(0));
+  auto& dec_out = static_cast<Dense&>(decoder_.layer(2));
+  return {&enc_in_.weights(),      &enc_in_.bias(),
+          &mu_head_->weights(),    &mu_head_->bias(),
+          &logvar_head_->weights(), &logvar_head_->bias(),
+          &dec_hidden.weights(),   &dec_hidden.bias(),
+          &dec_out.weights(),      &dec_out.bias()};
 }
 
 }  // namespace e2nvm::ml

@@ -55,6 +55,12 @@ struct VaeTrainOptions {
 ///   decoder: latent -> hidden (ReLU) -> input logits (Bernoulli)
 /// Loss: binary cross-entropy reconstruction + beta * KL(q(z|x) || N(0,I))
 /// — the negative ELBO given in §3.1 of the paper.
+///
+/// Inputs are bit rows (ml::BitRows) throughout training, refinement and
+/// write-path encoding: the first layer sums the weight rows of the set
+/// bits (BitDense), and the reconstruction targets are read from the
+/// bits. Only EncodeOne takes a 0.0/1.0 float vector — the reference
+/// oracle the bit-native paths are checked against.
 class Vae {
  public:
   explicit Vae(const VaeConfig& config);
@@ -63,25 +69,24 @@ class Vae {
 
   /// Deterministic encoding: returns the posterior mean mu for each row.
   /// This is the "only the encoder part is needed after training" path
-  /// used for placement prediction (§3.3.1).
-  Matrix EncodeMu(const Matrix& x);
+  /// (§3.3.1) — an allocating wrapper of EncodeMuInto.
+  Matrix EncodeMu(const BitRows& x);
 
-  /// Encodes a single vector (length input_dim) to its latent mean.
+  /// Reference encoding of one 0.0/1.0 float vector (length input_dim)
+  /// to its latent mean: the float first layer the write path's
+  /// reference_inference oracle runs. Bit-identical to EncodeMuInto on
+  /// the same bits.
   std::vector<float> EncodeOne(const std::vector<float>& x);
 
   /// Inference-only encoder of bit rows into caller-owned scratch:
-  /// hidden = ReLU(x W1 + b1), mu = hidden W2 + b2, where row r of x is
-  /// the bit string bit_rows[r * ceil(input_dim / 64) ...] (LSB-first
-  /// words, as BitVector stores it). The first layer sums the W1 rows of
-  /// the set bits directly (KernelOps::gemv_bits) instead of multiplying
-  /// a 0.0/1.0 float expansion; it skips the logvar head, the training
-  /// caches and every temporary of EncodeMu, so a warmed-up call
-  /// performs zero heap allocations. The mu values are bit-identical to
-  /// EncodeMu on the float expansion of the same bits (same additions,
-  /// same order). This is the "only the encoder part is needed after
-  /// training" write path of §3.3.1.
-  void EncodeMuInto(const uint64_t* bit_rows, size_t rows, Matrix* hidden,
-                    Matrix* mu);
+  /// hidden = ReLU(x W1 + b1), mu = hidden W2 + b2. The first layer sums
+  /// the W1 rows of the set bits directly (KernelOps::gemv_bits)
+  /// instead of multiplying a 0.0/1.0 float expansion; it skips the
+  /// logvar head, the training caches and every temporary of a training
+  /// forward pass, so a warmed-up call performs zero heap allocations.
+  /// The mu values are bit-identical to EncodeOne on the float expansion
+  /// of the same bits (same additions, same order).
+  void EncodeMuInto(const BitRows& x, Matrix* hidden, Matrix* mu);
 
   /// Decodes latent codes to Bernoulli means (sigmoid outputs).
   Matrix Decode(const Matrix& z);
@@ -94,13 +99,13 @@ class Vae {
     double cluster = 0;
     double total() const { return recon + kl + cluster; }
   };
-  BatchLoss TrainBatch(const Matrix& x, const VaeTrainOptions& opts);
+  BatchLoss TrainBatch(const BitRows& x, const VaeTrainOptions& opts);
 
   /// Loss of `x` without updating parameters (eps = 0, deterministic).
-  double EvalLoss(const Matrix& x);
+  double EvalLoss(const BitRows& x);
 
   /// Full training loop: shuffles, splits train/validation, runs epochs.
-  TrainHistory Train(const Matrix& x, const VaeTrainOptions& opts);
+  TrainHistory Train(const BitRows& x, const VaeTrainOptions& opts);
 
   /// Incremental mini-batch update (the replay-ring refinement path,
   /// DESIGN.md §16): runs one pure-ELBO TrainBatch step per
@@ -110,7 +115,7 @@ class Vae {
   /// deterministic function of (parameters, internal RNG state, x):
   /// chunk order is fixed and the kernels are pool-size invariant, so
   /// refinement preserves the engine's determinism contract.
-  double PartialFit(const Matrix& x, size_t batch_size);
+  double PartialFit(const BitRows& x, size_t batch_size);
 
   /// Multiply-accumulates of one EncodeOne call.
   double PredictFlops() const;
@@ -120,18 +125,20 @@ class Vae {
 
   size_t ParamCount() const;
 
+  /// Every trainable parameter block, in a fixed order: first layer
+  /// (W, b), mu head, logvar head, decoder hidden layer, decoder output
+  /// layer — what the golden training fixtures checksum.
+  std::vector<ParamBlock*> Params();
+
  private:
   /// Forward pass through the encoder caching layer state; outputs mu and
   /// logvar (clamped to [-8, 8] for stability).
-  void EncodeForward(const Matrix& x, Matrix* mu, Matrix* logvar);
+  void EncodeForward(const BitRows& x, Matrix* mu, Matrix* logvar);
 
   VaeConfig config_;
   Rng rng_;
-  Sequential encoder_body_;
-  /// The encoder body's Dense layer (borrowed from encoder_body_) — the
-  /// direct handle EncodeMuInto uses to reach the weights without the
-  /// Layer::Forward caching machinery.
-  Dense* enc_in_ = nullptr;
+  BitDense enc_in_;
+  Relu enc_relu_;
   std::unique_ptr<Dense> mu_head_;
   std::unique_ptr<Dense> logvar_head_;
   Sequential decoder_;

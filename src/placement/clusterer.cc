@@ -1,5 +1,7 @@
 #include "placement/clusterer.h"
 
+#include <algorithm>
+
 namespace e2nvm::placement {
 
 void ContentClusterer::AssignScratch(ml::InferenceScratch* scratch) {
@@ -15,9 +17,36 @@ void ContentClusterer::AssignScratch(ml::InferenceScratch* scratch) {
   }
 }
 
-Status RawKMeansClusterer::Train(const ml::Matrix& contents) {
-  E2_RETURN_IF_ERROR(kmeans_.Fit(contents));
-  train_flops_ = kmeans_.FitFlops(contents.rows());
+void ContentClusterer::AssignRows(const ml::BitRows& rows,
+                                  std::vector<size_t>* clusters) {
+  // Bounded chunks keep the scratch's activations small however large
+  // the free set is; every model's AssignScratch is row-independent, so
+  // the chunking cannot change an id.
+  constexpr size_t kChunkRows = 256;
+  ml::InferenceScratch scratch;
+  clusters->resize(rows.num_rows);
+  for (size_t lo = 0; lo < rows.num_rows; lo += kChunkRows) {
+    const size_t n = std::min(kChunkRows, rows.num_rows - lo);
+    scratch.Stage(n, rows.dim);
+    std::copy_n(rows.BitRow(lo), n * rows.row_words, scratch.bits.data());
+    AssignScratch(&scratch);
+    std::copy_n(scratch.clusters.begin(), n, clusters->begin() + lo);
+  }
+}
+
+Status RawKMeansClusterer::Train(const ml::BitRows& contents) {
+  ml::Matrix floats;
+  contents.ExpandInto(&floats);
+  E2_RETURN_IF_ERROR(kmeans_.Fit(floats));
+  train_flops_ = kmeans_.FitFlops(contents.num_rows);
+  return Status::Ok();
+}
+
+Status RawKMeansClusterer::PartialFit(const ml::BitRows& batch) {
+  ml::Matrix floats;
+  batch.ExpandInto(&floats);
+  E2_RETURN_IF_ERROR(kmeans_.PartialFit(floats));
+  partial_fit_flops_ = kmeans_.PartialFitFlops(batch.num_rows);
   return Status::Ok();
 }
 
@@ -26,12 +55,14 @@ size_t RawKMeansClusterer::PredictCluster(
   return kmeans_.Predict(features.data(), features.size());
 }
 
-Status PcaKMeansClusterer::Train(const ml::Matrix& contents) {
-  E2_RETURN_IF_ERROR(pca_.Fit(contents));
-  ml::Matrix projected = pca_.Transform(contents);
+Status PcaKMeansClusterer::Train(const ml::BitRows& contents) {
+  ml::Matrix floats;
+  contents.ExpandInto(&floats);
+  E2_RETURN_IF_ERROR(pca_.Fit(floats));
+  ml::Matrix projected = pca_.Transform(floats);
   E2_RETURN_IF_ERROR(kmeans_.Fit(projected));
   train_flops_ =
-      pca_.FitFlops(contents.rows()) + kmeans_.FitFlops(contents.rows());
+      pca_.FitFlops(contents.num_rows) + kmeans_.FitFlops(contents.num_rows);
   return Status::Ok();
 }
 

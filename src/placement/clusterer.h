@@ -37,10 +37,12 @@ class ContentClusterer {
   /// "in the background").
   virtual std::unique_ptr<ContentClusterer> CloneUntrained() const = 0;
 
-  /// Trains (or re-trains) on segment contents, one row per segment.
-  virtual Status Train(const ml::Matrix& contents) = 0;
+  /// Trains (or re-trains) on segment contents, one bit row per
+  /// segment.
+  virtual Status Train(const ml::BitRows& contents) = 0;
 
-  /// Maps a content vector (0/1 floats, length = input dim) to a cluster.
+  /// Maps a content vector (0/1 floats, length = input dim) to a
+  /// cluster — the reference oracle AssignScratch must match.
   virtual size_t PredictCluster(const std::vector<float>& features) = 0;
 
   /// Write-path inference: assigns every bit row staged in `scratch`
@@ -51,6 +53,13 @@ class ContentClusterer {
   /// override it with a zero-allocation batched kernel (E2Model: a
   /// bit-native encoder pass + one fused assignment for the whole batch).
   virtual void AssignScratch(ml::InferenceScratch* scratch);
+
+  /// Classifies every row of `rows` into (*clusters)[i] through
+  /// AssignScratch, staging a bounded chunk of rows at a time in a
+  /// local scratch — the bulk re-classification of a DAP rebuild
+  /// (bootstrap, retrain, shadow snapshot, swap, region growth).
+  /// Identical to PredictCluster on each row's float expansion.
+  void AssignRows(const ml::BitRows& rows, std::vector<size_t>* clusters);
 
   virtual size_t num_clusters() const = 0;
 
@@ -70,7 +79,7 @@ class ContentClusterer {
   /// post-update model is a pure function of (pre-update model, batch),
   /// independent of the installed compute pool.
   virtual bool SupportsPartialFit() const { return false; }
-  virtual Status PartialFit(const ml::Matrix& batch) {
+  virtual Status PartialFit(const ml::BitRows& batch) {
     (void)batch;
     return Status::Unimplemented("clusterer has no incremental update");
   }
@@ -86,7 +95,7 @@ class SingleClusterer : public ContentClusterer {
   std::unique_ptr<ContentClusterer> CloneUntrained() const override {
     return std::make_unique<SingleClusterer>();
   }
-  Status Train(const ml::Matrix& contents) override {
+  Status Train(const ml::BitRows& contents) override {
     return Status::Ok();
   }
   size_t PredictCluster(const std::vector<float>& features) override {
@@ -116,7 +125,8 @@ class RawKMeansClusterer : public ContentClusterer {
     return std::make_unique<RawKMeansClusterer>(c.k, c.seed, c.max_iters,
                                                 c.tol);
   }
-  Status Train(const ml::Matrix& contents) override;
+  /// Expands the bits once and fits k-means on the floats.
+  Status Train(const ml::BitRows& contents) override;
   size_t PredictCluster(const std::vector<float>& features) override;
   void AssignScratch(ml::InferenceScratch* scratch) override {
     kmeans_.AssignFusedInto(scratch->ExpandFloats(), &scratch->scores,
@@ -128,11 +138,7 @@ class RawKMeansClusterer : public ContentClusterer {
   /// Mini-batch k-means directly on the bits (warm-started counts from
   /// the last Fit; see ml::KMeans::PartialFit).
   bool SupportsPartialFit() const override { return true; }
-  Status PartialFit(const ml::Matrix& batch) override {
-    E2_RETURN_IF_ERROR(kmeans_.PartialFit(batch));
-    partial_fit_flops_ = kmeans_.PartialFitFlops(batch.rows());
-    return Status::Ok();
-  }
+  Status PartialFit(const ml::BitRows& batch) override;
   double LastPartialFitFlops() const override { return partial_fit_flops_; }
 
  private:
@@ -156,7 +162,7 @@ class DensityClusterer : public ContentClusterer {
   std::unique_ptr<ContentClusterer> CloneUntrained() const override {
     return std::make_unique<DensityClusterer>(k_);
   }
-  Status Train(const ml::Matrix& contents) override {
+  Status Train(const ml::BitRows& contents) override {
     return Status::Ok();
   }
   size_t PredictCluster(const std::vector<float>& features) override {
@@ -206,7 +212,8 @@ class PcaKMeansClusterer : public ContentClusterer {
         kmeans_.config().k, pca_.config().num_components,
         kmeans_.config().seed, kmeans_.config().max_iters);
   }
-  Status Train(const ml::Matrix& contents) override;
+  /// Expands the bits once and fits PCA + k-means on the floats.
+  Status Train(const ml::BitRows& contents) override;
   size_t PredictCluster(const std::vector<float>& features) override;
   size_t num_clusters() const override { return kmeans_.k(); }
   double PredictFlops() const override {

@@ -8,14 +8,10 @@
 
 namespace e2nvm::workload {
 
-ml::Matrix BitDataset::ToMatrix() const {
-  ml::Matrix m(items.size(), dim);
-  for (size_t i = 0; i < items.size(); ++i) {
-    for (size_t d = 0; d < dim; ++d) {
-      m(i, d) = items[i].Get(d) ? 1.0f : 0.0f;
-    }
-  }
-  return m;
+ml::BitRows BitDataset::ToBitRows() const {
+  ml::BitRows rows(items.size(), dim);
+  for (size_t i = 0; i < items.size(); ++i) rows.SetRow(i, items[i]);
+  return rows;
 }
 
 std::pair<BitDataset, BitDataset> BitDataset::Split(double fraction) const {

@@ -25,8 +25,8 @@ struct BitDataset {
 
   size_t size() const { return items.size(); }
 
-  /// Converts to an (n x dim) float matrix for model training.
-  ml::Matrix ToMatrix() const;
+  /// Converts to n bit rows of dim bits for model training.
+  ml::BitRows ToBitRows() const;
 
   /// Splits off the first `fraction` of items as a training set and the
   /// remainder as test (the paper's 80/20 protocol in §5, Fig 14).

@@ -61,11 +61,9 @@ workload::BitDataset ClusteredData(size_t samples, uint64_t seed = 2) {
   return workload::MakeProtoDataset(cfg);
 }
 
-ml::Matrix ContentsOf(const workload::BitDataset& ds, size_t rows) {
-  ml::Matrix m(rows, kBits);
-  for (size_t i = 0; i < rows; ++i) {
-    ds.items[i % ds.items.size()].AppendFloatsTo(m.Row(i));
-  }
+ml::BitRows ContentsOf(const workload::BitDataset& ds, size_t rows) {
+  ml::BitRows m(rows, kBits);
+  for (size_t i = 0; i < rows; ++i) m.SetRow(i, ds.items[i % ds.items.size()]);
   return m;
 }
 

@@ -51,7 +51,7 @@ TEST(SingleClustererTest, AlwaysClusterZero) {
   placement::SingleClusterer s;
   EXPECT_EQ(s.num_clusters(), 1u);
   EXPECT_EQ(s.PredictCluster(std::vector<float>(16, 0.f)), 0u);
-  EXPECT_TRUE(s.Train(ml::Matrix(4, 4)).ok());
+  EXPECT_TRUE(s.Train(ml::BitRows(4, 4)).ok());
 }
 
 TEST(DensityClustererTest, BucketsByPolarity) {
@@ -62,7 +62,7 @@ TEST(DensityClustererTest, BucketsByPolarity) {
   std::vector<float> half(64, 0.0f);
   for (size_t i = 0; i < 32; ++i) half[i] = 1.0f;
   EXPECT_EQ(d.PredictCluster(half), 2u);
-  EXPECT_TRUE(d.Train(ml::Matrix(2, 2)).ok());
+  EXPECT_TRUE(d.Train(ml::BitRows(2, 2)).ok());
 }
 
 TEST(DensityClustererTest, SeparatesSparseFromDense) {
@@ -79,7 +79,7 @@ TEST(DensityClustererTest, SeparatesSparseFromDense) {
 TEST(RawKMeansClustererTest, HighPurityOnSeparatedData) {
   auto ds = EasyDataset();
   placement::RawKMeansClusterer c(5, 3);
-  ASSERT_TRUE(c.Train(ds.ToMatrix()).ok());
+  ASSERT_TRUE(c.Train(ds.ToBitRows()).ok());
   EXPECT_GT(Purity(c, ds), 0.9);
   EXPECT_GT(c.LastTrainFlops(), 0.0);
   EXPECT_GT(c.PredictFlops(), 0.0);
@@ -88,7 +88,7 @@ TEST(RawKMeansClustererTest, HighPurityOnSeparatedData) {
 TEST(PcaKMeansClustererTest, GoodPurityDespiteProjection) {
   auto ds = EasyDataset();
   placement::PcaKMeansClusterer c(5, /*components=*/8, 3);
-  ASSERT_TRUE(c.Train(ds.ToMatrix()).ok());
+  ASSERT_TRUE(c.Train(ds.ToBitRows()).ok());
   EXPECT_GT(Purity(c, ds), 0.85);
   // PCA+K-means prediction is cheaper than raw K-means prediction at high
   // dimensionality? Not necessarily per call, but train must be counted.
@@ -104,7 +104,7 @@ TEST(E2ModelTest, TrainsAndPredictsInRange) {
   cfg.latent_dim = 8;
   cfg.pretrain_epochs = 6;
   core::E2Model model(cfg);
-  ASSERT_TRUE(model.Train(ds.ToMatrix()).ok());
+  ASSERT_TRUE(model.Train(ds.ToBitRows()).ok());
   for (size_t i = 0; i < 20; ++i) {
     EXPECT_LT(model.PredictCluster(ds.items[i].ToFloats()), 5u);
   }
@@ -121,7 +121,7 @@ TEST(E2ModelTest, HighPurityOnSeparatedData) {
   cfg.latent_dim = 8;
   cfg.pretrain_epochs = 10;
   core::E2Model model(cfg);
-  ASSERT_TRUE(model.Train(ds.ToMatrix()).ok());
+  ASSERT_TRUE(model.Train(ds.ToBitRows()).ok());
   EXPECT_GT(Purity(model, ds), 0.85);
 }
 
@@ -133,10 +133,10 @@ TEST(E2ModelTest, JointFinetuneFlagChangesTraining) {
   cfg.pretrain_epochs = 4;
   cfg.joint_finetune = false;
   core::E2Model seq_model(cfg);
-  ASSERT_TRUE(seq_model.Train(ds.ToMatrix()).ok());
+  ASSERT_TRUE(seq_model.Train(ds.ToBitRows()).ok());
   cfg.joint_finetune = true;
   core::E2Model joint_model(cfg);
-  ASSERT_TRUE(joint_model.Train(ds.ToMatrix()).ok());
+  ASSERT_TRUE(joint_model.Train(ds.ToBitRows()).ok());
   // Joint fine-tuning must cost extra training flops.
   EXPECT_GT(joint_model.LastTrainFlops(), seq_model.LastTrainFlops());
 }
@@ -146,9 +146,9 @@ TEST(E2ModelTest, RejectsBadGeometry) {
   cfg.input_dim = 64;
   cfg.k = 50;
   core::E2Model model(cfg);
-  ml::Matrix tiny(10, 64);
+  ml::BitRows tiny(10, 64);
   EXPECT_EQ(model.Train(tiny).code(), StatusCode::kInvalidArgument);
-  ml::Matrix wrong_dim(100, 32);
+  ml::BitRows wrong_dim(100, 32);
   EXPECT_EQ(model.Train(wrong_dim).code(),
             StatusCode::kInvalidArgument);
 }
@@ -163,8 +163,8 @@ TEST(E2ModelTest, LatentSsePositiveAndDropsWithK) {
     cfg.pretrain_epochs = 4;
     cfg.seed = 5;
     core::E2Model model(cfg);
-    ASSERT_TRUE(model.Train(ds.ToMatrix()).ok());
-    double sse = model.LatentSse(ds.ToMatrix());
+    ASSERT_TRUE(model.Train(ds.ToBitRows()).ok());
+    double sse = model.LatentSse(ds.ToBitRows());
     EXPECT_GT(sse, 0.0);
     EXPECT_LT(sse, prev);
     prev = sse;
@@ -178,9 +178,9 @@ TEST(E2ModelTest, RetrainReplacesModel) {
   cfg.k = 3;
   cfg.pretrain_epochs = 3;
   core::E2Model model(cfg);
-  ASSERT_TRUE(model.Train(ds.ToMatrix()).ok());
+  ASSERT_TRUE(model.Train(ds.ToBitRows()).ok());
   // Second Train (re-training) must succeed from scratch.
-  ASSERT_TRUE(model.Train(ds.ToMatrix()).ok());
+  ASSERT_TRUE(model.Train(ds.ToBitRows()).ok());
   EXPECT_LT(model.PredictCluster(ds.items[0].ToFloats()), 3u);
 }
 

@@ -212,15 +212,19 @@ TEST(SplitTest, FractionRespected) {
   EXPECT_EQ(test.items[0], ds.items[80]);
 }
 
-TEST(ToMatrixTest, BitsBecomeFloats) {
+TEST(ToBitRowsTest, ItemsBecomeRows) {
   BitDataset ds;
   ds.dim = 4;
   ds.items.push_back(BitVector::FromString("0110"));
-  ml::Matrix m = ds.ToMatrix();
-  EXPECT_EQ(m.rows(), 1u);
-  EXPECT_EQ(m.cols(), 4u);
-  EXPECT_FLOAT_EQ(m(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(m(0, 1), 1.0f);
+  ds.items.push_back(BitVector::FromString("1001"));
+  ml::BitRows m = ds.ToBitRows();
+  EXPECT_EQ(m.num_rows, 2u);
+  EXPECT_EQ(m.dim, 4u);
+  EXPECT_EQ(m.row_words, 1u);
+  EXPECT_FALSE(m.Get(0, 0));
+  EXPECT_TRUE(m.Get(0, 1));
+  EXPECT_EQ(m.BitRow(0)[0], 0b0110u);
+  EXPECT_EQ(m.BitRow(1)[0], 0b1001u);
 }
 
 }  // namespace

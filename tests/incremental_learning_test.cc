@@ -52,6 +52,13 @@ ml::Matrix ContentsOf(const workload::BitDataset& ds, size_t rows,
   return m;
 }
 
+ml::BitRows BitsOf(const workload::BitDataset& ds, size_t rows,
+                   size_t dim = kBits) {
+  ml::BitRows m(rows, dim);
+  for (size_t i = 0; i < rows; ++i) m.SetRow(i, ds.items[i % ds.items.size()]);
+  return m;
+}
+
 bool SameFloats(const ml::Matrix& a, const ml::Matrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
   for (size_t i = 0; i < a.rows(); ++i) {
@@ -73,21 +80,25 @@ TEST(ReplayRingTest, AppendsWrapAndKeepRecencyOrder) {
   EXPECT_EQ(ring.dim(), 3u);
   EXPECT_EQ(ring.size(), 0u);
 
+  EXPECT_EQ(ring.row_words(), 1u);
+
   for (int v = 0; v < 6; ++v) {
-    float* slot = ring.AppendRow();
-    for (size_t j = 0; j < 3; ++j) slot[j] = static_cast<float>(v);
+    // Row v holds the 3-bit pattern of v.
+    BitVector image(3);
+    for (size_t j = 0; j < 3; ++j) image.Set(j, (v >> j) & 1);
+    ring.Append(image);
     if (v == 1) {
       // Partially full: two rows, newest first.
       EXPECT_EQ(ring.size(), 2u);
-      EXPECT_EQ(ring.RecentRow(0)[0], 1.0f);
-      EXPECT_EQ(ring.RecentRow(1)[0], 0.0f);
+      EXPECT_EQ(ring.RecentRow(0)[0], 1u);
+      EXPECT_EQ(ring.RecentRow(1)[0], 0u);
     }
   }
   // Wrapped: rows 2..5 survive; RecentRow(0) is the newest.
   EXPECT_EQ(ring.size(), 4u);
   EXPECT_EQ(ring.total_appends(), 6u);
   for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(ring.RecentRow(i)[0], static_cast<float>(5 - i)) << i;
+    EXPECT_EQ(ring.RecentRow(i)[0], 5u - i) << i;
   }
 }
 
@@ -162,7 +173,7 @@ TEST(VaePartialFitTest, WarmMiniBatchesAreDeterministicAndReal) {
   ml::Vae a(vc), b(vc), untouched(vc);
 
   auto ds = ClusteredData(64, 2, /*dim=*/64);
-  ml::Matrix data = ContentsOf(ds, 64, 64);
+  ml::BitRows data = BitsOf(ds, 64, 64);
   ml::VaeTrainOptions opts;
   opts.epochs = 2;
   opts.batch_size = 16;
@@ -171,13 +182,13 @@ TEST(VaePartialFitTest, WarmMiniBatchesAreDeterministicAndReal) {
   untouched.Train(data, opts);
 
   auto drift = ClusteredData(32, 77, /*dim=*/64);
-  ml::Matrix batch = ContentsOf(drift, 32, 64);
+  ml::BitRows batch = BitsOf(drift, 32, 64);
   const double fa = a.PartialFit(batch, /*batch_size=*/16);
   const double fb = b.PartialFit(batch, /*batch_size=*/16);
   EXPECT_GT(fa, 0.0);
   EXPECT_EQ(fa, fb);
 
-  ml::Matrix probe = ContentsOf(drift, 8, 64);
+  ml::BitRows probe = BitsOf(drift, 8, 64);
   ml::Matrix za = a.EncodeMu(probe);
   ml::Matrix zb = b.EncodeMu(probe);
   EXPECT_TRUE(SameFloats(za, zb));
@@ -192,7 +203,7 @@ TEST(VaePartialFitTest, EmptyBatchIsFree) {
   vc.hidden_dim = 8;
   vc.latent_dim = 2;
   ml::Vae v(vc);
-  ml::Matrix empty(0, 16);
+  ml::BitRows empty(0, 16);
   EXPECT_EQ(v.PartialFit(empty, 8), 0.0);
 }
 
@@ -212,13 +223,13 @@ TEST(E2ModelPartialFitTest, PreconditionAndDeterministicUpdates) {
   EXPECT_TRUE(m.SupportsPartialFit());
 
   auto drift = ClusteredData(16, 77, /*dim=*/64);
-  ml::Matrix batch = ContentsOf(drift, 16, 64);
+  ml::BitRows batch = BitsOf(drift, 16, 64);
   EXPECT_FALSE(m.PartialFit(batch).ok());  // Before Train.
 
   auto ds = ClusteredData(64, 2, /*dim=*/64);
-  ml::Matrix train = ContentsOf(ds, 64, 64);
+  ml::BitRows train = BitsOf(ds, 64, 64);
   ASSERT_TRUE(m.Train(train).ok());
-  ml::Matrix narrow(2, 32);
+  ml::BitRows narrow(2, 32);
   EXPECT_FALSE(m.PartialFit(narrow).ok());  // Wrong width.
   ASSERT_TRUE(m.PartialFit(batch).ok());
   EXPECT_GT(m.LastPartialFitFlops(), 0.0);
@@ -377,7 +388,7 @@ struct Rig {
 struct DriftRun {
   std::vector<uint64_t> addrs;
   std::vector<size_t> probe_clusters;
-  std::vector<float> ring_floats;
+  std::vector<uint64_t> ring_words;
   uint64_t ring_appends = 0;
   uint64_t refine_steps = 0;
   uint64_t retrains = 0;
@@ -445,11 +456,7 @@ DriftRun RunDriftWorkload(size_t max_refine_rounds, bool background) {
   }
   const ReplayRing& ring = rig.engine->replay_ring();
   EXPECT_EQ(ring.capacity(), 64u);
-  const ml::Matrix& raw = ring.raw();
-  for (size_t i = 0; i < raw.rows(); ++i) {
-    out.ring_floats.insert(out.ring_floats.end(), raw.Row(i),
-                           raw.Row(i) + raw.cols());
-  }
+  out.ring_words = ring.raw().bits;
   out.ring_appends = ring.total_appends();
   const EngineStats& st = rig.engine->stats();
   out.refine_steps = st.refine_steps;
@@ -469,9 +476,9 @@ void ExpectSameRun(const DriftRun& a, const DriftRun& b) {
   EXPECT_EQ(a.background_retrains, b.background_retrains);
   EXPECT_EQ(a.model_generation, b.model_generation);
   EXPECT_EQ(a.refine_flops, b.refine_flops);
-  ASSERT_EQ(a.ring_floats.size(), b.ring_floats.size());
-  EXPECT_EQ(std::memcmp(a.ring_floats.data(), b.ring_floats.data(),
-                        a.ring_floats.size() * sizeof(float)),
+  ASSERT_EQ(a.ring_words.size(), b.ring_words.size());
+  EXPECT_EQ(std::memcmp(a.ring_words.data(), b.ring_words.data(),
+                        a.ring_words.size() * sizeof(uint64_t)),
             0);
 }
 

@@ -134,7 +134,7 @@ TEST(KernelsTest, BitsToFloatsMatchScalarForAllSizes) {
 // --- Float kernels: bitwise equality against scalar, unaligned start
 // offsets included so the vector loops can't assume 32-byte alignment. ---
 
-TEST(KernelsTest, AddAndAxpyMatchScalarBitwise) {
+TEST(KernelsTest, AddMatchesScalarBitwise) {
   const KernelOps& ref = *OpsFor(SimdLevel::kScalar);
   Rng rng(9);
   for (SimdLevel level : AvailableLevels()) {
@@ -144,22 +144,12 @@ TEST(KernelsTest, AddAndAxpyMatchScalarBitwise) {
         std::vector<float> base(offset + n), src(offset + n);
         for (auto& v : base) v = rng.NextFloat() * 4.0f - 2.0f;
         for (auto& v : src) v = rng.NextFloat() * 4.0f - 2.0f;
-        const float a = rng.NextFloat() * 2.0f - 1.0f;
-
         std::vector<float> got = base, want = base;
         ops.add_f32(got.data() + offset, src.data() + offset, n);
         ref.add_f32(want.data() + offset, src.data() + offset, n);
         ASSERT_TRUE(BytesEqual(got.data(), want.data(),
                                got.size() * sizeof(float)))
             << SimdLevelName(level) << " add n=" << n << " off=" << offset;
-
-        got = base;
-        want = base;
-        ops.axpy_f32(got.data() + offset, src.data() + offset, a, n);
-        ref.axpy_f32(want.data() + offset, src.data() + offset, a, n);
-        ASSERT_TRUE(BytesEqual(got.data(), want.data(),
-                               got.size() * sizeof(float)))
-            << SimdLevelName(level) << " axpy n=" << n << " off=" << offset;
       }
     }
   }
@@ -395,8 +385,8 @@ ml::Matrix NaiveMatMulTransB(const ml::Matrix& a, const ml::Matrix& b) {
 
 TEST(KernelsTest, GemmBitIdenticalToNaiveSerialAndPooled) {
   Rng rng(2024);
-  // Odd sizes force dot8/axpy tails; 0/1-valued A rows exercise the
-  // av==0 skip and av==1 add_f32 lanes the featurized encode GEMM hits.
+  // Odd sizes force dot8 and GEMV-tile tails; 0/1-valued A rows
+  // exercise MatMul's av==0 skip.
   const std::vector<std::tuple<size_t, size_t, size_t>> shapes = {
       {1, 1, 1}, {3, 5, 7}, {8, 16, 24}, {13, 33, 65}, {17, 128, 9}};
   for (auto [m, k, n] : shapes) {

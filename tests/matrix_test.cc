@@ -69,13 +69,11 @@ TEST(MatrixTest, TransposedVariantsAgree) {
   ExpectMatrixNear(MatMulTransA(at, b), ab);
 }
 
-TEST(MatrixTest, AddAndAxpy) {
+TEST(MatrixTest, AddInPlace) {
   Matrix a = M({{1, 2}});
   Matrix b = M({{10, 20}});
   AddInPlace(a, b);
   ExpectMatrixNear(a, M({{11, 22}}));
-  Axpy(a, b, 0.5f);
-  ExpectMatrixNear(a, M({{16, 32}}));
 }
 
 TEST(MatrixTest, AddRowVector) {
@@ -118,6 +116,83 @@ TEST(MatrixTest, CopyRowFrom) {
   b.CopyRowFrom(a, 1, 0);
   EXPECT_FLOAT_EQ(b(0, 0), 3);
   EXPECT_FLOAT_EQ(b(0, 1), 4);
+}
+
+/// Rows of `dim` bits, each set with probability 0.4.
+BitRows RandomBits(size_t rows, size_t dim, uint64_t seed) {
+  Rng rng(seed);
+  BitRows x(rows, dim);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t d = 0; d < dim; ++d) {
+      if (rng.NextBernoulli(0.4)) {
+        x.BitRow(r)[d >> 6] |= uint64_t{1} << (d & 63);
+      }
+    }
+  }
+  return x;
+}
+
+TEST(BitRowsTest, TransposeMatchesNaiveOracle) {
+  for (size_t rows : {1, 63, 64, 65, 130}) {
+    for (size_t dim : {1, 63, 64, 100, 512}) {
+      BitRows x = RandomBits(rows, dim, rows * 1000 + dim);
+      BitRows xt;
+      // Stale contents must not leak into the result.
+      xt.bits.assign(4096, ~uint64_t{0});
+      TransposeInto(x, &xt);
+      ASSERT_EQ(xt.num_rows, dim);
+      ASSERT_EQ(xt.dim, rows);
+      ASSERT_EQ(xt.row_words, (rows + 63) / 64);
+      ASSERT_EQ(xt.bits.size(), dim * xt.row_words);
+      for (size_t i = 0; i < dim; ++i) {
+        for (size_t w = 0; w < xt.row_words; ++w) {
+          // Naive oracle: bit p of mask word w of column i is x(w*64+p, i).
+          uint64_t want = 0;
+          for (size_t p = 0; p < 64 && w * 64 + p < rows; ++p) {
+            if (x.Get(w * 64 + p, i)) want |= uint64_t{1} << p;
+          }
+          ASSERT_EQ(xt.BitRow(i)[w], want)
+              << "rows " << rows << " dim " << dim << " col " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(BitRowsTest, BitMatMulMatchesFloatGemmsBitForBit) {
+  // Forward (X W) and the weight gradient (X^T dY, via the transpose)
+  // against the float GEMMs on the 0.0/1.0 expansion: same additions in
+  // the same order, so memcmp-equal, including a 70-row batch whose
+  // transpose spans two words per column.
+  for (size_t rows : {1, 64, 70}) {
+    const size_t dim = 100, out = 24;
+    BitRows x = RandomBits(rows, dim, rows);
+    Matrix xf;
+    x.ExpandInto(&xf);
+    Rng rng(rows + 7);
+    Matrix w(dim, out), dy(rows, out);
+    for (auto& v : w.data()) v = rng.NextFloat() * 2.0f - 1.0f;
+    for (auto& v : dy.data()) v = rng.NextFloat() * 2.0f - 1.0f;
+
+    Matrix y;
+    BitMatMulInto(x, w, &y);
+    EXPECT_EQ(y.data(), MatMul(xf, w).data()) << rows;
+
+    BitRows xt;
+    TransposeInto(x, &xt);
+    Matrix dw;
+    BitMatMulInto(xt, dy, &dw);
+    EXPECT_EQ(dw.data(), MatMulTransA(xf, dy).data()) << rows;
+  }
+}
+
+TEST(BitRowsTest, ExpandIntoWritesZerosAndOnes) {
+  BitRows x(2, 3);
+  x.BitRow(0)[0] = 0b101;
+  x.BitRow(1)[0] = 0b010;
+  Matrix f;
+  x.ExpandInto(&f);
+  EXPECT_EQ(f.data(), (std::vector<float>{1, 0, 1, 0, 1, 0}));
 }
 
 }  // namespace

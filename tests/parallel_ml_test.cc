@@ -3,10 +3,12 @@
 // reductions (K-means, VAE) must be deterministic in the pool size.
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/kernels.h"
 #include "common/thread_pool.h"
 #include "ml/kmeans.h"
 #include "ml/matrix.h"
@@ -110,24 +112,40 @@ TEST(ParallelMlTest, KMeansPredictBatchMatchesSerial) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(ParallelMlTest, VaeTrainingDeterministicAcrossPoolSizes) {
-  // batch 64 x 1024 inputs = 64k-element sigmoid/BCE loops: large enough
-  // to take the parallel elementwise path, not just parallel MatMul.
-  Matrix x(128, 1024);
-  Rng rng(10);
-  for (auto& v : x.data()) v = rng.NextBernoulli(0.3) ? 1.0f : 0.0f;
+/// 128 rows of 1024 bits, each set with probability 0.3.
+BitRows VaePoolData(uint64_t seed) {
+  BitRows x(128, 1024);
+  Rng rng(seed);
+  for (size_t r = 0; r < x.num_rows; ++r) {
+    for (size_t d = 0; d < x.dim; ++d) {
+      if (rng.NextBernoulli(0.3)) {
+        x.BitRow(r)[d >> 6] |= uint64_t{1} << (d & 63);
+      }
+    }
+  }
+  return x;
+}
+
+VaeConfig VaePoolConfig() {
   VaeConfig cfg;
   cfg.input_dim = 1024;
   cfg.hidden_dim = 32;
   cfg.latent_dim = 6;
   cfg.seed = 5;
+  return cfg;
+}
+
+TEST(ParallelMlTest, VaeTrainingDeterministicAcrossPoolSizes) {
+  // batch 64 x 1024 inputs = 64k-element sigmoid/BCE loops: large enough
+  // to take the parallel elementwise path, not just parallel MatMul.
+  BitRows x = VaePoolData(10);
   VaeTrainOptions opts;
   opts.epochs = 2;
   opts.batch_size = 64;
 
   auto train = [&](size_t threads) {
     ScopedPool pool(threads);
-    Vae vae(cfg);
+    Vae vae(VaePoolConfig());
     TrainHistory h = vae.Train(x, opts);
     return h.train_loss;
   };
@@ -138,24 +156,52 @@ TEST(ParallelMlTest, VaeTrainingDeterministicAcrossPoolSizes) {
 }
 
 TEST(ParallelMlTest, VaePooledLossCloseToSerial) {
-  Matrix x(128, 1024);
-  Rng rng(12);
-  for (auto& v : x.data()) v = rng.NextBernoulli(0.3) ? 1.0f : 0.0f;
-  VaeConfig cfg;
-  cfg.input_dim = 1024;
-  cfg.hidden_dim = 32;
-  cfg.latent_dim = 6;
-  cfg.seed = 5;
+  BitRows x = VaePoolData(12);
   VaeTrainOptions opts;
   opts.epochs = 2;
   opts.batch_size = 64;
 
-  Vae serial(cfg);
+  Vae serial(VaePoolConfig());
   double sl = serial.Train(x, opts).train_loss.back();
   ScopedPool pool(4);
-  Vae pooled(cfg);
+  Vae pooled(VaePoolConfig());
   double pl = pooled.Train(x, opts).train_loss.back();
   EXPECT_NEAR(sl, pl, 1e-3 * std::abs(sl) + 1e-6);
+}
+
+TEST(ParallelMlTest, VaeTrainingMatchesGoldenAtEveryPoolSize) {
+  // Recorded from the float training path before training became
+  // bit-native (see vae_test's VaeGoldenTest): losses, flops and a
+  // CRC32C per parameter block. With 0, 2 or 4 pool threads the
+  // bit-native first layer, its weight gradient and the elementwise
+  // loops must reproduce them exactly.
+  BitRows x = VaePoolData(10);
+  VaeTrainOptions opts;
+  opts.epochs = 2;
+  opts.batch_size = 64;
+  const std::vector<uint32_t> want_crc = {
+      0x76b0f578u, 0x58e8b4a4u, 0x77073be0u, 0x2b858d7du, 0x16ee1d35u,
+      0x2ab7ec43u, 0x1502f849u, 0xf6c46bfau, 0xae111483u, 0x66c4171eu};
+  for (size_t threads : {0, 2, 4}) {
+    std::unique_ptr<ScopedPool> pool;
+    if (threads > 0) pool = std::make_unique<ScopedPool>(threads);
+    Vae vae(VaePoolConfig());
+    TrainHistory h = vae.Train(x, opts);
+    EXPECT_EQ(h.train_loss,
+              (std::vector<double>{0x1.641f2cc39f88ap+9,
+                                   0x1.61e7fb8a8afdp+9}))
+        << threads;
+    EXPECT_EQ(h.val_loss, (std::vector<double>{0x1.62a64a0ddbf53p+9,
+                                               0x1.62294d8fe2255p+9}))
+        << threads;
+    EXPECT_EQ(h.flops, 0x1.5f3a8p+26) << threads;
+    std::vector<uint32_t> crc;
+    for (ParamBlock* b : vae.Params()) {
+      crc.push_back(Crc32c(b->value.data().data(),
+                           b->value.size() * sizeof(float)));
+    }
+    EXPECT_EQ(crc, want_crc) << threads;
+  }
 }
 
 }  // namespace
