@@ -21,6 +21,9 @@ constexpr size_t kClusters = 10;
 constexpr size_t kWindow = 30;  // Writes per reported point.
 
 struct Tracker {
+  Tracker(core::PlacementEngine* e, nvm::NvmDevice* d)
+      : engine(e), device(d) {}
+
   core::PlacementEngine* engine;
   nvm::NvmDevice* device;
   std::vector<uint64_t> live;

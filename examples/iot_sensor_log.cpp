@@ -82,7 +82,7 @@ int main() {
     nvm_writes[mode] = device.stats().writes;
   }
 
-  std::printf("IoT sensor log: %u readings of 96 bits, %zu-byte "
+  std::printf("IoT sensor log: %zu readings of 96 bits, %zu-byte "
               "segments\n\n",
               kReadings, kSegBits / 8);
   std::printf("%10s %14s %18s %22s\n", "mode", "nvm_writes",

@@ -1,9 +1,11 @@
 // Configurable experiment driver — run custom E2-NVM simulations from
 // the command line without writing code:
 //
-//   ./build/examples/sim_driver --segments 256 --segment-bytes 256 \
-//       --clusters 8 --dataset mnist --writes 500 --scheme DCW --psi 0 \
+//   ./build/examples/sim_driver --segments 256 --segment-bytes 256
+//       --clusters 8 --dataset mnist --writes 500 --scheme DCW --psi 0
 //       --placement e2
+//
+// (one command line, wrapped here).
 //
 // Placements: e2 (VAE+K-means), pnw (raw K-means), pca (PCA+K-means),
 //             datacon (polarity buckets), arbitrary (first-free).

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 gate: configure, build, and run the test suite — fast `unit`
-# label first (native, forced-AVX2 and forced-scalar kernel tiers),
-# then the long-running `stress` label, then (unless SKIP_SANITIZE=1)
-# again under ASan+UBSan, and finally the concurrency tests under TSan,
-# via the E2NVM_SANITIZE CMake option. Ends with a per-test timing
-# summary of the plain run. Run from anywhere inside the repo.
+# Tier-1 gate: configure, build (failing on any compiler warning), and
+# run the test suite — fast `unit` label first (native, forced-AVX2 and
+# forced-scalar kernel tiers), then the long-running `stress` label,
+# then (unless SKIP_SANITIZE=1) again under ASan+UBSan, and finally the
+# concurrency tests under TSan, via the E2NVM_SANITIZE CMake option.
+# Ends with a per-test timing summary of the plain run. Run from
+# anywhere inside the repo.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -26,8 +27,17 @@ run_ctest() {
     | tee -a "$timing_log"
 }
 
-echo "== plain build =="
-build_tree "$repo_root/build"
+echo "== plain build (must compile without warnings) =="
+build_log="$(mktemp)"
+trap 'rm -f "$timing_log" "$build_log"' EXIT
+build_tree "$repo_root/build" 2>&1 | tee "$build_log"
+# A warm tree recompiles only what changed, so this gates the changed
+# files; a fresh tree gates every file.
+if grep -q "warning:" "$build_log"; then
+  echo "plain build printed compiler warnings:" >&2
+  grep "warning:" "$build_log" >&2
+  exit 1
+fi
 echo "== unit tests (native SIMD dispatch) =="
 run_ctest "$repo_root/build" -L unit
 # The AVX2 pass matters on an AVX-512 host, where the native pass never

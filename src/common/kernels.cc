@@ -1,6 +1,7 @@
 #include "common/kernels.h"
 
 #include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -85,6 +86,38 @@ void ScalarGemv(const float* a, const float* b, size_t k, size_t n,
   }
 }
 
+void ScalarGemm(const float* a, const float* b, size_t k, size_t n,
+                float* c) {
+  for (size_t j = 0; j < 4 * n; ++j) c[j] = 0.0f;
+  for (size_t p = 0; p < k; ++p) {
+    const float* brow = b + p * n;
+    for (size_t r = 0; r < 4; ++r) {
+      const float av = a[r * k + p];
+      if (av == 0.0f) continue;
+      float* crow = c + r * n;
+      for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+void ScalarAdam(float* value, float* m, float* v, const float* grad,
+                size_t n, const AdamStep& step) {
+  const float b1 = step.beta1;
+  const float b2 = step.beta2;
+  const float c1 = step.correction1;
+  const float c2 = step.correction2;
+  const float lr = step.lr;
+  const float eps = step.eps;
+  for (size_t i = 0; i < n; ++i) {
+    const float g = grad[i];
+    const float mi = b1 * m[i] + (1.0f - b1) * g;
+    const float vi = b2 * v[i] + (1.0f - b2) * g * g;
+    m[i] = mi;
+    v[i] = vi;
+    value[i] -= lr * (mi / c1) / (std::sqrt(vi / c2) + eps);
+  }
+}
+
 /// Calls f(p) for every set bit p < k of `words`, in ascending p: one
 /// tzcnt per set bit, no per-bit branch on the clear ones.
 template <typename F>
@@ -138,9 +171,9 @@ uint32_t ScalarCrc32c(uint32_t crc, const void* data, size_t n) {
 }
 
 constexpr KernelOps kScalarOps = {
-    ScalarPopcount, ScalarHamming, ScalarDiff, ScalarBitsToFloats,
-    ScalarAdd,      ScalarDot8,    ScalarGemv, ScalarGemvBits,
-    ScalarCrc32c,
+    ScalarPopcount, ScalarHamming, ScalarDiff,   ScalarBitsToFloats,
+    ScalarAdd,      ScalarDot8,    ScalarGemv,   ScalarGemm,
+    ScalarGemvBits, ScalarCrc32c,  ScalarAdam,
 };
 
 // ----------------------------------------------------- dispatch --

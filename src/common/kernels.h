@@ -14,6 +14,18 @@ struct DiffCounts {
   size_t resets = 0;
 };
 
+/// Scalars of one Adam step (KernelOps::adam_f32): the moment decays,
+/// the bias corrections 1 - beta^t of step t, the learning rate and
+/// the denominator epsilon.
+struct AdamStep {
+  float beta1;
+  float beta2;
+  float correction1;
+  float correction2;
+  float lr;
+  float eps;
+};
+
 /// Instruction-set tiers of the kernel layer, ordered so that a higher
 /// value strictly extends the lower ones on the CPUs we dispatch for.
 enum class SimdLevel : int {
@@ -32,13 +44,14 @@ enum class SimdLevel : int {
 /// Each tier must produce results bit-identical to the scalar reference:
 ///  - integer kernels are trivially exact (popcounts over any grouping);
 ///  - float kernels vectorize across independent *output elements* only.
-///    `add_f32` is element-wise; `dot8_f32` keeps 8 output
-///    columns in 8 lanes, each accumulating its k products in the same
-///    ascending order as the scalar loop; `gemv_f32`/`gemv_bits` hold
-///    column tiles in registers, each column summing its rows in
-///    ascending p. No tier may reassociate an accumulation or fuse a
-///    multiply-add: every product is rounded, then added and rounded
-///    again, exactly like `c += a * b` compiled without FP contraction.
+///    `add_f32` and `adam_f32` are element-wise; `dot8_f32` keeps 8
+///    output columns in 8 lanes, each accumulating its k products in the
+///    same ascending order as the scalar loop; `gemv_f32`/`gemv_bits`/
+///    `gemm_f32` hold column tiles in registers, each column summing its
+///    rows in ascending p. No tier may reassociate an accumulation or
+///    fuse a multiply-add: every product is rounded, then added and
+///    rounded again, exactly like `c += a * b` compiled without FP
+///    contraction.
 ///    The SIMD translation units are therefore built with
 ///    `-ffp-contract=off` and WITHOUT `-mfma`.
 struct KernelOps {
@@ -71,6 +84,17 @@ struct KernelOps {
   /// once per nonzero a[p].
   void (*gemv_f32)(const float* a, const float* b, size_t k, size_t n,
                    float* c);
+  /// Four-row block of the same product: rows r in [0, 4) of c (4 x n,
+  /// row-major, overwritten) are gemv_f32 of rows r of a (4 x k,
+  /// row-major) against b. Each b row loaded feeds all four output
+  /// rows, so a batch GEMM streams b a quarter as often as per-row
+  /// GEMVs. Every c[r][j] is bit-identical to gemv_f32's: ascending p,
+  /// mul then add, and a zero a[r][p] term skipped — by a lane mask (or
+  /// a blend), not a branch, since the four rows' zeros do not line up.
+  /// MatMulInto runs it over each block of four rows and gemv_f32 over
+  /// the leftover rows.
+  void (*gemm_f32)(const float* a, const float* b, size_t k, size_t n,
+                   float* c);
   /// Bit-row times row-major matrix: c[j] = sum over the set bits p < k
   /// of words[] (LSB-first per word, ascending p) of b[p * n + j], for
   /// j in [0, n), overwriting c; bits at p >= k are ignored. This is the
@@ -89,6 +113,15 @@ struct KernelOps {
   /// Integer-exact, so every tier is trivially bit-identical (the x86
   /// tiers use the SSE4.2 crc32 instruction, implied by AVX2).
   uint32_t (*crc32c)(uint32_t crc, const void* data, size_t n);
+  /// One Adam update of n parameters (ml::ParamBlock::Step): per element
+  ///   m = b1 * m + (1 - b1) * g
+  ///   v = b2 * v + ((1 - b2) * g) * g
+  ///   value -= (lr * (m / correction1)) / (sqrt(v / correction2) + eps)
+  /// with every operation a separately rounded IEEE float mul, add, div
+  /// or sqrt in exactly this order (no FMA, no reciprocal estimates), so
+  /// every tier is bit-identical to the scalar loop.
+  void (*adam_f32)(float* value, float* m, float* v, const float* grad,
+                   size_t n, const AdamStep& step);
 };
 
 /// The process-wide kernel table. Chosen once on first use: the best

@@ -194,6 +194,121 @@ void Avx2Gemv(const float* a, const float* b, size_t k, size_t n,
   }
 }
 
+/// acc + (av * bv masked to the lanes of nz): with nz clear the sum adds
+/// +0.0, which leaves acc as it was — acc starts at +0.0 and a sum of
+/// +0.0 and anything is never -0.0 — so this is gemv_f32's skipped zero
+/// term without a branch, also when bv is infinite or NaN.
+inline __m256 MulAddNonzero(__m256 acc, __m256 nz, __m256 av, __m256 bv) {
+  return _mm256_add_ps(acc, _mm256_and_ps(nz, _mm256_mul_ps(av, bv)));
+}
+
+/// All-ones lanes when `av` (a broadcast a[r][p]) is not 0.0 or -0.0 —
+/// NEQ_UQ, so a NaN term is added like gemv_f32's `av == 0.0f` test
+/// adds it.
+inline __m256 Nonzero(__m256 av) {
+  return _mm256_cmp_ps(av, _mm256_setzero_ps(), _CMP_NEQ_UQ);
+}
+
+void Avx2Gemm(const float* a, const float* b, size_t k, size_t n,
+              float* c) {
+  // Column tiles of 16 floats in 4 rows x 2 ymm accumulators (each b
+  // load feeds the four output rows), then 8-wide tiles, then a scalar
+  // tail. Per element: ascending p, mul then add, zero a terms masked
+  // off — bit-identical to gemv_f32.
+  const float* ar[4] = {a, a + k, a + 2 * k, a + 3 * k};
+  float* const cr[4] = {c, c + n, c + 2 * n, c + 3 * n};
+  size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    __m256 acc[4][2];
+    for (auto& row : acc) {
+      row[0] = _mm256_setzero_ps();
+      row[1] = _mm256_setzero_ps();
+    }
+    for (size_t p = 0; p < k; ++p) {
+      const float* brow = b + p * n + j;
+      const __m256 bv0 = _mm256_loadu_ps(brow);
+      const __m256 bv1 = _mm256_loadu_ps(brow + 8);
+      for (int r = 0; r < 4; ++r) {
+        const __m256 av = _mm256_set1_ps(ar[r][p]);
+        const __m256 nz = Nonzero(av);
+        acc[r][0] = MulAddNonzero(acc[r][0], nz, av, bv0);
+        acc[r][1] = MulAddNonzero(acc[r][1], nz, av, bv1);
+      }
+    }
+    for (int r = 0; r < 4; ++r) {
+      _mm256_storeu_ps(cr[r] + j, acc[r][0]);
+      _mm256_storeu_ps(cr[r] + j + 8, acc[r][1]);
+    }
+  }
+  for (; j + 8 <= n; j += 8) {
+    __m256 acc[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
+                     _mm256_setzero_ps(), _mm256_setzero_ps()};
+    for (size_t p = 0; p < k; ++p) {
+      const __m256 bv = _mm256_loadu_ps(b + p * n + j);
+      for (int r = 0; r < 4; ++r) {
+        const __m256 av = _mm256_set1_ps(ar[r][p]);
+        acc[r] = MulAddNonzero(acc[r], Nonzero(av), av, bv);
+      }
+    }
+    for (int r = 0; r < 4; ++r) _mm256_storeu_ps(cr[r] + j, acc[r]);
+  }
+  if (j < n) {
+    for (int r = 0; r < 4; ++r) {
+      for (size_t jj = j; jj < n; ++jj) cr[r][jj] = 0.0f;
+    }
+    for (size_t p = 0; p < k; ++p) {
+      const float* brow = b + p * n;
+      for (int r = 0; r < 4; ++r) {
+        const float av = ar[r][p];
+        if (av == 0.0f) continue;
+        for (size_t jj = j; jj < n; ++jj) cr[r][jj] += av * brow[jj];
+      }
+    }
+  }
+}
+
+void Avx2Adam(float* value, float* m, float* v, const float* grad,
+              size_t n, const AdamStep& step) {
+  // Eight parameters per step, then the scalar loop for the tail; the
+  // same operations in the same order, each one IEEE-rounded (div and
+  // sqrt are exact-rounded instructions, not approximations).
+  const float one_minus_b1 = 1.0f - step.beta1;
+  const float one_minus_b2 = 1.0f - step.beta2;
+  const __m256 b1 = _mm256_set1_ps(step.beta1);
+  const __m256 omb1 = _mm256_set1_ps(one_minus_b1);
+  const __m256 b2 = _mm256_set1_ps(step.beta2);
+  const __m256 omb2 = _mm256_set1_ps(one_minus_b2);
+  const __m256 c1 = _mm256_set1_ps(step.correction1);
+  const __m256 c2 = _mm256_set1_ps(step.correction2);
+  const __m256 lr = _mm256_set1_ps(step.lr);
+  const __m256 eps = _mm256_set1_ps(step.eps);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 g = _mm256_loadu_ps(grad + i);
+    const __m256 mi = _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m + i)),
+                                    _mm256_mul_ps(omb1, g));
+    const __m256 vi =
+        _mm256_add_ps(_mm256_mul_ps(b2, _mm256_loadu_ps(v + i)),
+                      _mm256_mul_ps(_mm256_mul_ps(omb2, g), g));
+    const __m256 update = _mm256_div_ps(
+        _mm256_mul_ps(lr, _mm256_div_ps(mi, c1)),
+        _mm256_add_ps(_mm256_sqrt_ps(_mm256_div_ps(vi, c2)), eps));
+    _mm256_storeu_ps(m + i, mi);
+    _mm256_storeu_ps(v + i, vi);
+    _mm256_storeu_ps(value + i,
+                     _mm256_sub_ps(_mm256_loadu_ps(value + i), update));
+  }
+  for (; i < n; ++i) {
+    const float g = grad[i];
+    const float mi = step.beta1 * m[i] + one_minus_b1 * g;
+    const float vi = step.beta2 * v[i] + one_minus_b2 * g * g;
+    m[i] = mi;
+    v[i] = vi;
+    value[i] -= step.lr * (mi / step.correction1) /
+                (__builtin_sqrtf(vi / step.correction2) + step.eps);
+  }
+}
+
 /// Calls f(p) for every set bit p < k of `words`, in ascending p (a
 /// per-TU copy: a shared inline would risk the linker picking this
 /// ISA-flagged body for the scalar tier).
@@ -289,9 +404,9 @@ uint32_t Avx2Crc32c(uint32_t crc, const void* data, size_t n) {
 }
 
 const KernelOps kAvx2Ops = {
-    Avx2Popcount, Avx2Hamming, Avx2Diff, Avx2BitsToFloats,
-    Avx2Add,      Avx2Dot8,    Avx2Gemv, Avx2GemvBits,
-    Avx2Crc32c,
+    Avx2Popcount, Avx2Hamming, Avx2Diff,  Avx2BitsToFloats,
+    Avx2Add,      Avx2Dot8,    Avx2Gemv,  Avx2Gemm,
+    Avx2GemvBits, Avx2Crc32c,  Avx2Adam,
 };
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include "common/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <exception>
 #include <memory>
+#include <system_error>
 
 #include "common/lock_audit.h"
 
@@ -160,6 +163,56 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
                     [&body](size_t lo, size_t hi, size_t) {
                       for (size_t i = lo; i < hi; ++i) body(i);
                     });
+}
+
+namespace {
+
+/// CPUs the calling thread may run on, at least 1.
+size_t UsableCpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return std::max(1, CPU_COUNT(&set));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+}  // namespace
+
+Status RunConcurrently(size_t n,
+                       const std::function<Status(size_t)>& task) {
+  std::vector<Status> status(n);
+  std::vector<std::exception_ptr> errors(n);
+  std::atomic<size_t> next{0};
+  auto drain = [&] {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        status[i] = task(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  const size_t threads = std::min(n, UsableCpus());
+  std::vector<std::thread> helpers;
+  helpers.reserve(threads);
+  for (size_t t = 1; t < threads; ++t) {
+    try {
+      helpers.emplace_back(drain);
+    } catch (const std::system_error&) {
+      break;  // No thread to spare: the started ones drain the rest.
+    }
+  }
+  drain();
+  for (auto& h : helpers) h.join();
+  for (size_t i = 0; i < n; ++i) {
+    if (errors[i]) std::rethrow_exception(errors[i]);
+    if (!status[i].ok()) return status[i];
+  }
+  return Status::Ok();
 }
 
 }  // namespace e2nvm

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/status.h"
+
 namespace e2nvm {
 
 /// A fixed-size worker pool with a ParallelFor helper — the concurrency
@@ -85,6 +87,18 @@ class ThreadPool {
   std::condition_variable cv_;
   bool shutdown_ = false;
 };
+
+/// Runs task(i) once for every i in [0, n) on up to min(n, usable CPUs)
+/// threads — the caller plus freshly started ones, each claiming the
+/// next unclaimed index — and, once every task has run, returns the
+/// first non-OK status in index order (or rethrows the exception of a
+/// task that threw, if it comes first). Usable CPUs are the calling
+/// thread's affinity mask where the platform reports one, else
+/// hardware_concurrency, so a process pinned to one CPU runs everything
+/// inline on the caller. Meant for a few coarse, independent jobs (a
+/// sharded store's per-shard bootstrap); fine-grained data parallelism
+/// belongs on a ThreadPool.
+Status RunConcurrently(size_t n, const std::function<Status(size_t)>& task);
 
 }  // namespace e2nvm
 

@@ -90,11 +90,13 @@ void ShardedStore::Seed(const workload::BitDataset& contents) {
 }
 
 Status ShardedStore::Bootstrap() {
-  for (size_t s = 0; s < num_shards_; ++s) {
+  // Shards share nothing a bootstrap writes (own model, DAP, segment
+  // range and accounting lane), so each trains on its own thread, with
+  // its kernels pinned to its own lane as on every other shard path.
+  return RunConcurrently(num_shards_, [this](size_t s) {
     ml::ScopedComputePool kernels(shard_lane(s));
-    E2_RETURN_IF_ERROR(shards_[s]->Bootstrap());
-  }
-  return Status::Ok();
+    return shards_[s]->Bootstrap();
+  });
 }
 
 Status ShardedStore::Put(uint64_t key, const BitVector& value) {

@@ -97,7 +97,11 @@ class ShardedStore {
   void Seed(const workload::BitDataset& contents);
 
   /// Trains every shard's model on its seeded contents and populates its
-  /// DAP. Serial per shard (deterministic).
+  /// DAP. Shards bootstrap concurrently (RunConcurrently: up to one
+  /// thread per shard and usable CPU, inline on one CPU), each under its
+  /// own compute lane; every shard's model and DAP are bit-identical to
+  /// a serial bootstrap. Returns the first failing shard's status in
+  /// shard order, after every shard has run.
   Status Bootstrap();
 
   /// Inserts or updates `key` on its owning shard.

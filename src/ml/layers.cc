@@ -2,25 +2,20 @@
 
 #include <cmath>
 
+#include "common/kernels.h"
+
 namespace e2nvm::ml {
 
 void ParamBlock::Step(const AdamConfig& cfg, int t) {
-  const float b1 = cfg.beta1;
-  const float b2 = cfg.beta2;
-  const float correction1 =
-      1.0f - std::pow(b1, static_cast<float>(t));
-  const float correction2 =
-      1.0f - std::pow(b2, static_cast<float>(t));
-  for (size_t i = 0; i < value.size(); ++i) {
-    float g = grad.data()[i];
-    float& mi = m.data()[i];
-    float& vi = v.data()[i];
-    mi = b1 * mi + (1.0f - b1) * g;
-    vi = b2 * vi + (1.0f - b2) * g * g;
-    float mhat = mi / correction1;
-    float vhat = vi / correction2;
-    value.data()[i] -= cfg.lr * mhat / (std::sqrt(vhat) + cfg.eps);
-  }
+  AdamStep step;
+  step.beta1 = cfg.beta1;
+  step.beta2 = cfg.beta2;
+  step.correction1 = 1.0f - std::pow(cfg.beta1, static_cast<float>(t));
+  step.correction2 = 1.0f - std::pow(cfg.beta2, static_cast<float>(t));
+  step.lr = cfg.lr;
+  step.eps = cfg.eps;
+  Ops().adam_f32(value.data().data(), m.data().data(), v.data().data(),
+                 grad.data().data(), value.size(), step);
 }
 
 Dense::Dense(size_t in, size_t out, Rng& rng)

@@ -119,15 +119,20 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   assert(a.cols() == b.rows());
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
   c->EnsureShape(m, n);
-  // One register-blocked GEMV per row (kernels.h gemv_f32): each
-  // c[i][j] accumulates its k products in ascending-p order from +0.0
-  // with zero a[i][p] skipped, so the result is bit-identical to the
-  // naive i-outer loop whatever the row split (this is what lets
-  // MultiPut's batched mu-head GEMM match sequential Puts), and the
-  // column tile stays in registers across the whole k loop.
+  // Four-row register-blocked GEMMs (kernels.h gemm_f32), then one
+  // GEMV per leftover row: each c[i][j] accumulates its k products in
+  // ascending-p order from +0.0 with zero a[i][p] skipped in both
+  // kernels, so the result is bit-identical to the naive i-outer loop
+  // whatever the row split or blocking (this is what lets MultiPut's
+  // batched mu-head GEMM match sequential Puts), and the column tiles
+  // stay in registers across the whole k loop.
   const KernelOps& kern = Ops();
   ForRowBlocks(m, static_cast<double>(k) * n, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
+    size_t i = lo;
+    for (; i + 4 <= hi; i += 4) {
+      kern.gemm_f32(a.Row(i), b.Row(0), k, n, c->Row(i));
+    }
+    for (; i < hi; ++i) {
       kern.gemv_f32(a.Row(i), b.Row(0), k, n, c->Row(i));
     }
   });
@@ -243,7 +248,7 @@ void AddInPlace(Matrix& a, const Matrix& b) {
   Ops().add_f32(a.data().data(), b.data().data(), a.size());
 }
 
-void AddRowVector(Matrix& a, const std::vector<float>& bias) {
+void AddRowVector(Matrix& a, std::span<const float> bias) {
   assert(bias.size() == a.cols());
   const KernelOps& kern = Ops();
   for (size_t i = 0; i < a.rows(); ++i) {

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <new>
+#include <span>
 #include <vector>
 
 #include "common/bitvec.h"
@@ -52,10 +54,51 @@ class ScopedComputePool {
   bool prev_active_;
 };
 
+/// Bytes of the cache-line alignment every Matrix buffer starts on.
+inline constexpr size_t kCacheLineBytes = 64;
+
+/// Allocator handing out kCacheLineBytes-aligned arrays. It
+/// over-allocates through the replaceable global operator new(size_t)
+/// — so allocation audits that replace it still count every buffer —
+/// rounds up to the next line boundary, and keeps the raw pointer in
+/// the word just below the returned one. (Aligned operator new /
+/// posix_memalign would fragment the heap under the training churn.)
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}
+
+  T* allocate(size_t n) {
+    void* raw = ::operator new(n * sizeof(T) + kCacheLineBytes);
+    const uintptr_t aligned =
+        (reinterpret_cast<uintptr_t>(raw) + kCacheLineBytes) &
+        ~uintptr_t{kCacheLineBytes - 1};
+    reinterpret_cast<void**>(aligned)[-1] = raw;
+    return reinterpret_cast<T*>(aligned);
+  }
+  void deallocate(T* p, size_t) {
+    ::operator delete(reinterpret_cast<void**>(p)[-1]);
+  }
+
+  friend bool operator==(const CacheLineAllocator&,
+                         const CacheLineAllocator&) {
+    return true;
+  }
+};
+
+/// Float storage of a Matrix: a vector whose buffer starts on a cache
+/// line, so the SIMD kernels' row tiles never straddle one more line
+/// than they must, wherever the allocator happened to put the buffer.
+using FloatStorage = std::vector<float, CacheLineAllocator<float>>;
+
 /// Dense row-major float matrix — the tensor type of the ML substrate.
 /// Sized for this library's models (inputs up to a few thousand features,
 /// batches of a few hundred), so a straightforward cache-friendly
-/// implementation is sufficient; no BLAS dependency.
+/// implementation is sufficient; no BLAS dependency. Row(0) is always
+/// kCacheLineBytes-aligned: after construction, growth, copy and move.
 class Matrix {
  public:
   Matrix() = default;
@@ -65,8 +108,8 @@ class Matrix {
       : rows_(rows), cols_(cols), data_(rows * cols, 0.0f) {}
 
   /// Builds from explicit data (size must be rows*cols).
-  Matrix(size_t rows, size_t cols, std::vector<float> data)
-      : rows_(rows), cols_(cols), data_(std::move(data)) {
+  Matrix(size_t rows, size_t cols, const std::vector<float>& data)
+      : rows_(rows), cols_(cols), data_(data.begin(), data.end()) {
     assert(data_.size() == rows_ * cols_);
   }
 
@@ -98,8 +141,8 @@ class Matrix {
   float* Row(size_t r) { return data_.data() + r * cols_; }
   const float* Row(size_t r) const { return data_.data() + r * cols_; }
 
-  std::vector<float>& data() { return data_; }
-  const std::vector<float>& data() const { return data_; }
+  FloatStorage& data() { return data_; }
+  const FloatStorage& data() const { return data_; }
 
   void Fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 
@@ -113,7 +156,7 @@ class Matrix {
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
-  std::vector<float> data_;
+  FloatStorage data_;
 };
 
 /// A batch of bit strings, one per row — the input format of every
@@ -227,7 +270,7 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 void AddInPlace(Matrix& a, const Matrix& b);
 
 /// Adds a row vector `bias` (1 x n) to every row of `a` (m x n).
-void AddRowVector(Matrix& a, const std::vector<float>& bias);
+void AddRowVector(Matrix& a, std::span<const float> bias);
 
 /// Elementwise in-place ReLU: a[i] = max(a[i], 0). Same arithmetic as
 /// layers.h's Relu::Forward, without the mask/output allocations.

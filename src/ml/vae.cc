@@ -121,7 +121,7 @@ std::vector<float> Vae::EncodeOne(const std::vector<float>& x) {
   ReluInPlace(h);
   Matrix mu = MatMul(h, mu_head_->weights().value);
   AddRowVector(mu, mu_head_->bias().value.data());
-  return mu.data();
+  return {mu.data().begin(), mu.data().end()};
 }
 
 void Vae::EncodeMuInto(const BitRows& x, Matrix* hidden, Matrix* mu) {

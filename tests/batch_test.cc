@@ -14,10 +14,16 @@ namespace {
 constexpr size_t kSegBits = 512;
 constexpr size_t kSegments = 64;
 
+nvm::DeviceConfig RigDevice() {
+  nvm::DeviceConfig dc;
+  dc.num_segments = kSegments;
+  dc.segment_bits = kSegBits;
+  return dc;
+}
+
 struct Rig {
   Rig()
-      : device(nvm::DeviceConfig{.num_segments = kSegments,
-                                 .segment_bits = kSegBits}),
+      : device(RigDevice()),
         ctrl(&device, &dcw, kSegments, 0),
         placer(&ctrl, 0, kSegments) {}
   schemes::Dcw dcw;

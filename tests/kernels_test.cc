@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -201,6 +203,121 @@ TEST(KernelsTest, GemvMatchesScalarBitwise) {
                               got.size() * sizeof(float)),
                   0)
             << SimdLevelName(level) << " gemv k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, GemmMatchesGemvRowByRow) {
+  // MatMulInto's blocking — gemm_f32 over each block of four rows,
+  // gemv_f32 over the leftover rows — must reproduce the scalar gemv_f32
+  // of every row bit for bit on every tier. `a` mixes 0.0, -0.0, 1.0
+  // and general values, and every fifth row is all zeros, so the four
+  // rows of a block skip different terms; one b entry is +inf, which
+  // turns a zero term that is multiplied instead of skipped into a NaN.
+  const KernelOps& ref = *OpsFor(SimdLevel::kScalar);
+  Rng rng(43);
+  for (SimdLevel level : AvailableLevels()) {
+    const KernelOps& ops = *OpsFor(level);
+    for (size_t m : {1u, 3u, 4u, 5u, 64u, 65u}) {
+      for (size_t k : {1u, 10u, 64u, 512u}) {
+        for (size_t n : {1u, 10u, 16u, 63u, 64u, 65u, 512u}) {
+          std::vector<float> a(m * k), b(k * n);
+          for (size_t i = 0; i < m; ++i) {
+            for (size_t p = 0; p < k; ++p) {
+              const float r = rng.NextFloat();
+              float v = r < 0.2f   ? 0.0f
+                        : r < 0.4f ? -0.0f
+                        : r < 0.6f ? 1.0f
+                                   : r * 2.0f - 1.0f;
+              if (i % 5 == 4) v = 0.0f;
+              a[i * k + p] = v;
+            }
+          }
+          for (auto& v : b) v = rng.NextFloat() * 2.0f - 1.0f;
+          b[(k / 2) * n + n / 2] = std::numeric_limits<float>::infinity();
+          std::vector<float> want(m * n), got(m * n + 4, -3.0f);
+          for (size_t i = 0; i < m; ++i) {
+            ref.gemv_f32(&a[i * k], b.data(), k, n, &want[i * n]);
+          }
+          size_t i = 0;
+          for (; i + 4 <= m; i += 4) {
+            ops.gemm_f32(&a[i * k], b.data(), k, n, &got[i * n]);
+          }
+          for (; i < m; ++i) {
+            ops.gemv_f32(&a[i * k], b.data(), k, n, &got[i * n]);
+          }
+          ASSERT_TRUE(BytesEqual(got.data(), want.data(),
+                                 want.size() * sizeof(float)))
+              << SimdLevelName(level) << " gemm m=" << m << " k=" << k
+              << " n=" << n;
+          for (size_t g = m * n; g < got.size(); ++g) {
+            ASSERT_EQ(got[g], -3.0f) << SimdLevelName(level)
+                                     << " gemm wrote past row " << m;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, AdamMatchesScalarBitwise) {
+  // Every tier's adam_f32 against the scalar reference, and the scalar
+  // reference against the loop ParamBlock::Step ran before the kernel
+  // existed, for every tail length up to 70 and one large block.
+  const KernelOps& ref = *OpsFor(SimdLevel::kScalar);
+  Rng rng(47);
+  std::vector<size_t> sizes;
+  for (size_t n = 1; n <= 70; ++n) sizes.push_back(n);
+  sizes.push_back(32768);
+  for (int t : {1, 2, 10, 1000}) {
+    AdamStep step;
+    step.beta1 = 0.9f;
+    step.beta2 = 0.999f;
+    step.correction1 = 1.0f - std::pow(step.beta1, static_cast<float>(t));
+    step.correction2 = 1.0f - std::pow(step.beta2, static_cast<float>(t));
+    step.lr = 1e-3f;
+    step.eps = 1e-8f;
+    for (size_t n : sizes) {
+      std::vector<float> value(n), m(n), v(n), grad(n);
+      for (size_t i = 0; i < n; ++i) {
+        value[i] = rng.NextFloat() * 2.0f - 1.0f;
+        m[i] = (rng.NextFloat() * 2.0f - 1.0f) * 0.1f;
+        v[i] = rng.NextFloat() * 0.01f;
+        const float r = rng.NextFloat();
+        const float scale = r < 0.5f ? 1e-4f : 3.0f;
+        grad[i] = r < 0.1f ? 0.0f : (r * 2.0f - 1.0f) * scale;
+      }
+      // The pre-kernel ParamBlock::Step loop, verbatim.
+      std::vector<float> old_value = value, old_m = m, old_v = v;
+      for (size_t i = 0; i < n; ++i) {
+        float g = grad[i];
+        float& mi = old_m[i];
+        float& vi = old_v[i];
+        mi = step.beta1 * mi + (1.0f - step.beta1) * g;
+        vi = step.beta2 * vi + (1.0f - step.beta2) * g * g;
+        float mhat = mi / step.correction1;
+        float vhat = vi / step.correction2;
+        old_value[i] -= step.lr * mhat / (std::sqrt(vhat) + step.eps);
+      }
+      std::vector<float> want_value = value, want_m = m, want_v = v;
+      ref.adam_f32(want_value.data(), want_m.data(), want_v.data(),
+                   grad.data(), n, step);
+      const size_t bytes = n * sizeof(float);
+      ASSERT_TRUE(BytesEqual(want_value.data(), old_value.data(), bytes) &&
+                  BytesEqual(want_m.data(), old_m.data(), bytes) &&
+                  BytesEqual(want_v.data(), old_v.data(), bytes))
+          << "scalar adam vs the original loop, n=" << n << " t=" << t;
+      for (SimdLevel level : AvailableLevels()) {
+        std::vector<float> got_value = value, got_m = m, got_v = v;
+        got_value.push_back(-3.0f);
+        OpsFor(level)->adam_f32(got_value.data(), got_m.data(),
+                                got_v.data(), grad.data(), n, step);
+        ASSERT_TRUE(BytesEqual(got_value.data(), want_value.data(), bytes) &&
+                    BytesEqual(got_m.data(), want_m.data(), bytes) &&
+                    BytesEqual(got_v.data(), want_v.data(), bytes))
+            << SimdLevelName(level) << " adam n=" << n << " t=" << t;
+        ASSERT_EQ(got_value[n], -3.0f) << SimdLevelName(level) << " n=" << n;
       }
     }
   }

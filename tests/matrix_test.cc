@@ -78,7 +78,7 @@ TEST(MatrixTest, AddInPlace) {
 
 TEST(MatrixTest, AddRowVector) {
   Matrix a = M({{1, 2}, {3, 4}});
-  AddRowVector(a, {10, 20});
+  AddRowVector(a, std::vector<float>{10, 20});
   ExpectMatrixNear(a, M({{11, 22}, {13, 24}}));
 }
 
@@ -116,6 +116,38 @@ TEST(MatrixTest, CopyRowFrom) {
   b.CopyRowFrom(a, 1, 0);
   EXPECT_FLOAT_EQ(b(0, 0), 3);
   EXPECT_FLOAT_EQ(b(0, 1), 4);
+}
+
+TEST(MatrixTest, StorageIsCacheLineAligned) {
+  auto aligned = [](const Matrix& m) {
+    return reinterpret_cast<uintptr_t>(m.Row(0)) % kCacheLineBytes == 0;
+  };
+  // Odd shapes, so no size class of the underlying allocator lines the
+  // buffers up by itself.
+  std::vector<Matrix> held;
+  for (size_t cols : {1u, 3u, 7u, 10u, 64u, 65u, 513u}) {
+    held.emplace_back(3, cols);
+    EXPECT_TRUE(aligned(held.back())) << "3 x " << cols;
+  }
+  Matrix m(1, 5, std::vector<float>{1, 2, 3, 4, 5});
+  EXPECT_TRUE(aligned(m));
+  m.EnsureShape(17, 33);  // Grows: a fresh buffer.
+  EXPECT_TRUE(aligned(m));
+  m(16, 32) = 7.0f;
+  Matrix copy(m);
+  EXPECT_TRUE(aligned(copy));
+  Matrix assigned;
+  assigned = m;
+  EXPECT_TRUE(aligned(assigned));
+  const float* before = m.Row(0);
+  Matrix moved(std::move(m));
+  EXPECT_EQ(moved.Row(0), before);  // Moves keep the buffer.
+  EXPECT_TRUE(aligned(moved));
+  Matrix move_assigned;
+  move_assigned = std::move(moved);
+  EXPECT_TRUE(aligned(move_assigned));
+  EXPECT_EQ(move_assigned(16, 32), 7.0f);
+  EXPECT_EQ(copy(16, 32), 7.0f);
 }
 
 /// Rows of `dim` bits, each set with probability 0.4.
@@ -192,7 +224,7 @@ TEST(BitRowsTest, ExpandIntoWritesZerosAndOnes) {
   x.BitRow(1)[0] = 0b010;
   Matrix f;
   x.ExpandInto(&f);
-  EXPECT_EQ(f.data(), (std::vector<float>{1, 0, 1, 0, 1, 0}));
+  EXPECT_EQ(f.data(), (FloatStorage{1, 0, 1, 0, 1, 0}));
 }
 
 }  // namespace

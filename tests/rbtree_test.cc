@@ -43,7 +43,9 @@ TEST(RbTreeTest, AscendingInsertKeepsInvariants) {
   RbTree t;
   for (uint64_t k = 0; k < 1000; ++k) {
     t.Put(k, k * 2);
-    if (k % 100 == 0) ASSERT_TRUE(t.CheckInvariants()) << k;
+    if (k % 100 == 0) {
+      ASSERT_TRUE(t.CheckInvariants()) << k;
+    }
   }
   EXPECT_TRUE(t.CheckInvariants());
   EXPECT_EQ(t.size(), 1000u);

@@ -1,15 +1,26 @@
 // ShardedStore unit tests: the shards=1 determinism contract (bit-identical
 // placements, flips and retrain schedule vs a plain E2KvStore), merged
 // stats across shards, shard-range containment, construction validation,
-// and the ShardJournal append/replay protocol.
+// concurrent bootstrap against a serial-bootstrap golden, and the
+// ShardJournal append/replay protocol.
 
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
+#include <thread>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/kernels.h"
+#include "common/thread_pool.h"
 #include "core/shard_journal.h"
 #include "core/sharded_store.h"
 #include "core/store.h"
+#include "ml/layers.h"
 #include "workload/datasets.h"
 
 namespace e2nvm::core {
@@ -171,6 +182,142 @@ TEST(ShardedStore, ShardsPlaceOnlyInsideTheirSegmentRange) {
       EXPECT_LT(addr, first + kSegments) << "key " << key;
     });
   }
+}
+
+// Golden bootstrap fixture, recorded from the serial shard-by-shard
+// Bootstrap before shards bootstrapped concurrently: four shards, each
+// seeded with its own dataset, and per shard the CRC32C of every VAE
+// parameter block plus, per DAP cluster, the free count and the CRC32C
+// of the free addresses in list order. Concurrent bootstrap must
+// reproduce every shard bit for bit, at any lane size.
+struct ShardGolden {
+  std::array<uint32_t, 10> params;
+  std::vector<std::pair<size_t, uint32_t>> clusters;  // (free, crc)
+};
+
+ShardGolden Fingerprint(E2KvStore& shard) {
+  ShardGolden g{};
+  std::vector<ml::ParamBlock*> params = shard.model().vae().Params();
+  EXPECT_EQ(params.size(), g.params.size());
+  for (size_t i = 0; i < params.size() && i < g.params.size(); ++i) {
+    const ml::Matrix& v = params[i]->value;
+    g.params[i] = Crc32c(v.data().data(), v.size() * sizeof(float));
+  }
+  const DynamicAddressPool& pool = shard.engine().pool();
+  const std::vector<uint64_t> free = pool.AllFree();
+  size_t at = 0;
+  for (size_t c = 0; c < pool.num_clusters(); ++c) {
+    const size_t n = pool.FreeCount(c);
+    g.clusters.emplace_back(
+        n, Crc32c(free.data() + at, n * sizeof(uint64_t)));
+    at += n;
+  }
+  return g;
+}
+
+TEST(ShardedStoreTest, ConcurrentBootstrapMatchesGolden) {
+  // Serial lanes (pool_threads 0) and pooled lanes train differently by
+  // design (pooled loss reductions combine per-block partials), so each
+  // has its own fixture; every pooled lane size shares one.
+  const std::array<ShardGolden, 4> kSerialLanes = {{
+    {{0x98eff442u, 0xb01f4c54u, 0xe704562bu, 0x6c4fcda4u, 0x1b1db125u,
+      0xed8fc7b1u, 0x80127292u, 0x42d0b179u, 0xe3739a71u, 0x6f8e6c4au},
+     {{37, 0xe38db02au}, {27, 0xb9d178f4u},
+      {36, 0xca16d696u}, {28, 0x390f89bbu}}},
+    {{0xd5849f46u, 0x5f24eba1u, 0x912cdc72u, 0x89297a09u, 0xfc181ae3u,
+      0xd001290du, 0x0bf3711au, 0xc57f2277u, 0x0d9a26b9u, 0xdda56857u},
+     {{22, 0x803f2ed1u}, {30, 0x8f7be6c4u},
+      {34, 0x0f02526cu}, {42, 0x63624f6au}}},
+    {{0x45078b84u, 0x4e74eab9u, 0x4dbd4bdfu, 0x098fc401u, 0x890050ffu,
+      0x96837118u, 0x8379831cu, 0xdb9dec69u, 0x25c0861au, 0xb217b91au},
+     {{27, 0x4129ca1du}, {36, 0x9a57deceu},
+      {32, 0x40a7517au}, {33, 0x74553340u}}},
+    {{0x8eb5fcdfu, 0x2c8fedf4u, 0xdb79423du, 0x677ad49fu, 0x83a83fa5u,
+      0x7f6d6bbcu, 0xfa49f1e5u, 0xee305125u, 0xb424793au, 0x2b285a4du},
+     {{34, 0xf3c772f7u}, {27, 0xc5ace6acu},
+      {36, 0x5ea8a371u}, {31, 0xa7a8ea39u}}},
+  }};
+  const std::array<ShardGolden, 4> kPooledLanes = {{
+    {{0x5d55354bu, 0x0e946ae1u, 0x6380cf46u, 0x75a1fc4bu, 0x15f8b3b9u,
+      0xb5250569u, 0xefb9e7e8u, 0x9fae8a75u, 0x1da84defu, 0x811d6351u},
+     {{37, 0xe38db02au}, {27, 0xb9d178f4u},
+      {36, 0xca16d696u}, {28, 0x390f89bbu}}},
+    {{0x30daceffu, 0xbd26c554u, 0xaeb2b64au, 0xe168bea7u, 0xcb32e73bu,
+      0xb223a034u, 0xca618853u, 0xdc7afeb5u, 0x10445276u, 0x5d41269bu},
+     {{22, 0x803f2ed1u}, {30, 0x8f7be6c4u},
+      {34, 0x0f02526cu}, {42, 0x63624f6au}}},
+    {{0xb2a9474bu, 0xdc8b11a1u, 0xfe72bdd3u, 0x7111dd96u, 0x43ffc5a8u,
+      0xf52f3894u, 0xbfd1703au, 0x659dbeb7u, 0x685bf783u, 0x339e97e4u},
+     {{27, 0x4129ca1du}, {36, 0x9a57deceu},
+      {32, 0x40a7517au}, {33, 0x74553340u}}},
+    {{0xd908ac97u, 0xb1848a33u, 0xdb9497c6u, 0x58205fa2u, 0xc2e5ee47u,
+      0x7f6d6bbcu, 0xf47e7535u, 0xc7c0310bu, 0x3d0ae278u, 0xb9d53a94u},
+     {{34, 0xf3c772f7u}, {27, 0xc5ace6acu},
+      {36, 0x5ea8a371u}, {31, 0xa7a8ea39u}}},
+  }};
+  for (size_t pool_threads : {0u, 4u, 8u}) {
+    const auto& golden = pool_threads == 0 ? kSerialLanes : kPooledLanes;
+    ShardedStoreConfig cfg;
+    cfg.num_shards = golden.size();
+    cfg.shard = ShardConfig();
+    cfg.pool_threads = pool_threads;
+    auto store_or = ShardedStore::Create(cfg);
+    ASSERT_TRUE(store_or.ok());
+    ShardedStore& store = **store_or;
+    for (size_t s = 0; s < cfg.num_shards; ++s) {
+      store.shard(s).Seed(ClusteredData(100 + s));
+    }
+    ASSERT_TRUE(store.Bootstrap().ok());
+    for (size_t s = 0; s < cfg.num_shards; ++s) {
+      const ShardGolden got = Fingerprint(store.shard(s));
+      EXPECT_EQ(got.params, golden[s].params)
+          << "shard " << s << ", pool_threads " << pool_threads;
+      EXPECT_EQ(got.clusters, golden[s].clusters)
+          << "shard " << s << ", pool_threads " << pool_threads;
+    }
+  }
+}
+
+TEST(ShardedStoreTest, BootstrapFanOutReturnsFirstFailingShardStatus) {
+  // ShardedStore::Bootstrap is RunConcurrently over the shards. A later
+  // shard failing first must not mask an earlier shard's failure, and
+  // every shard still runs.
+  std::atomic<int> ran{0};
+  Status st = RunConcurrently(4, [&](size_t s) {
+    ++ran;
+    if (s == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return Status::Internal("shard 1");
+    }
+    if (s == 3) return Status::DataLoss("shard 3");
+    return Status::Ok();
+  });
+  EXPECT_EQ(ran.load(), 4);
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  EXPECT_EQ(st.message(), "shard 1");
+
+  // One shard runs inline on the caller; none is a no-op.
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_TRUE(RunConcurrently(1, [&](size_t) {
+                EXPECT_EQ(std::this_thread::get_id(), caller);
+                return Status::Ok();
+              }).ok());
+  EXPECT_TRUE(RunConcurrently(0, [](size_t) {
+                return Status::Internal("never runs");
+              }).ok());
+
+  // A task that throws is reported like a failing status, in shard
+  // order, after every shard ran.
+  ran = 0;
+  EXPECT_THROW(RunConcurrently(3,
+                               [&](size_t s) -> Status {
+                                 ++ran;
+                                 if (s == 2) return Status::Internal("2");
+                                 if (s == 1) throw std::runtime_error("1");
+                                 return Status::Ok();
+                               }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 3);
 }
 
 TEST(ShardedStore, RejectsInvalidConfigs) {

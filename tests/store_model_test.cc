@@ -126,7 +126,9 @@ void RunModelCheck(size_t num_shards, uint64_t seed) {
       auto got = store->Get(key);
       auto it = oracle.find(key);
       ASSERT_EQ(got.ok(), it != oracle.end()) << "op " << op;
-      if (got.ok()) ASSERT_EQ(*got, it->second) << "op " << op;
+      if (got.ok()) {
+        ASSERT_EQ(*got, it->second) << "op " << op;
+      }
     } else {  // MultiPut batch of 8 (duplicates across batches allowed).
       std::vector<std::pair<uint64_t, BitVector>> kvs;
       for (size_t i = 0; i < 8; ++i) {
