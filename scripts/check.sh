@@ -4,8 +4,11 @@
 # forced-scalar kernel tiers), then the long-running `stress` label,
 # then (unless SKIP_SANITIZE=1) again under ASan+UBSan, and finally the
 # concurrency tests under TSan, via the E2NVM_SANITIZE CMake option.
-# Ends with a per-test timing summary of the plain run. Run from
-# anywhere inside the repo.
+# Then the perf smokes (unless SKIP_PERF_SMOKE=1): a failing perf gate
+# is recorded and the later stages still run; the script exits
+# non-zero at the end with the list of failed gates. Ends with a
+# per-test timing summary of the plain run. Run from anywhere inside
+# the repo.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -64,8 +67,20 @@ if [[ "${SKIP_SANITIZE:-0}" != "1" ]]; then
     -R "thread_pool|parallel_ml|background_retrain|incremental_learning|sharded_stress|sharded_store|store_model|workload_model|recovery_fuzz|energy_accounting|net_server"
 fi
 
+failed_gates=()
+# Records a failed perf gate; every later stage still runs.
+fail_gate() {
+  echo "$1" >&2
+  failed_gates+=("$1")
+}
+# Prints "<stage> OK" when no gate failed since the stage began.
+stage_ok() {
+  if (( ${#failed_gates[@]} == stage_start )); then echo "$1 OK"; fi
+}
+
 if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
   echo "== perf smoke (Release micro_ops, shortened pass) =="
+  stage_start=${#failed_gates[@]}
   perf_dir="$repo_root/build-perf"
   cmake -B "$perf_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$perf_dir" -j "$jobs" --target micro_ops
@@ -81,8 +96,7 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
              put_p999_us get_p50_us get_p99_us get_p999_us \
              undersubscribed hardware_concurrency simd_level train; do
     if ! grep -q "\"$key\"" "$perf_dir/BENCH_ops.json"; then
-      echo "perf smoke: key '$key' missing from BENCH_ops.json" >&2
-      exit 1
+      fail_gate "perf smoke: key '$key' missing from BENCH_ops.json"
     fi
   done
   # Speedup gate: on a multi-core box where the sharded section actually
@@ -98,11 +112,11 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
   speedup="$(sed -nE 's/.*"speedup_vs_pooled_put": ([0-9.]+).*/\1/p' \
                "$perf_dir/BENCH_ops.json" | head -1)"
   if [[ "$hw" -ge 2 && "$under" == "false" ]]; then
-    if ! awk -v s="$speedup" 'BEGIN { exit !(s >= 1.0) }'; then
-      echo "perf smoke: sharded speedup_vs_pooled_put $speedup < 1.0" >&2
-      exit 1
+    if awk -v s="$speedup" 'BEGIN { exit !(s >= 1.0) }'; then
+      echo "perf smoke: speedup gate OK (speedup_vs_pooled_put=$speedup)"
+    else
+      fail_gate "perf smoke: sharded speedup_vs_pooled_put $speedup < 1.0"
     fi
-    echo "perf smoke: speedup gate OK (speedup_vs_pooled_put=$speedup)"
   else
     echo "perf smoke: speedup gate skipped (hw=$hw, undersubscribed=$under)"
   fi
@@ -121,23 +135,23 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
       in_inc && /"refine_steps":/ { print $2 + 0; exit }' \
       "$perf_dir/BENCH_ops.json")"
   if ! awk -v r="$refines" 'BEGIN { exit !(r >= 1) }'; then
-    echo "perf smoke: incremental_put recorded no refinement step" >&2
-    exit 1
+    fail_gate "perf smoke: incremental_put recorded no refinement step"
   fi
   if [[ "$hw" -ge 2 && "$under" == "false" ]]; then
-    if ! awk -v s="$steady_max" 'BEGIN { exit !(s < 1000.0) }'; then
-      echo "perf smoke: incremental put_max_us_steady $steady_max >= 1000" >&2
-      exit 1
+    if awk -v s="$steady_max" 'BEGIN { exit !(s < 1000.0) }'; then
+      echo "perf smoke: tail gate OK (put_max_us_steady=$steady_max us," \
+           "refine_steps=$refines)"
+    else
+      fail_gate "perf smoke: incremental put_max_us_steady $steady_max >= 1000"
     fi
-    echo "perf smoke: tail gate OK (put_max_us_steady=$steady_max us," \
-         "refine_steps=$refines)"
   else
     echo "perf smoke: tail gate skipped (hw=$hw, undersubscribed=$under;" \
          "put_max_us_steady=$steady_max us, refine_steps=$refines)"
   fi
-  echo "perf smoke OK"
+  stage_ok "perf smoke"
 
   echo "== scaling smoke (1/2/4/8-shard sweep -> BENCH_scaling.json) =="
+  stage_start=${#failed_gates[@]}
   (cd "$perf_dir" && E2NVM_OPS_SMOKE=1 E2NVM_OPS_SCALING_ONLY=1 \
     ./bench/micro_ops --benchmark_filter='NoSuchBenchmark')
   for key in points shards client_threads batch_size put_ops_per_s \
@@ -145,51 +159,55 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
              speedup_vs_1shard \
              undersubscribed hardware_concurrency; do
     if ! grep -q "\"$key\"" "$perf_dir/BENCH_scaling.json"; then
-      echo "scaling smoke: key '$key' missing from BENCH_scaling.json" >&2
-      exit 1
+      fail_gate "scaling smoke: key '$key' missing from BENCH_scaling.json"
     fi
   done
   # Regression gate: every multi-shard point that genuinely had a core
   # per client must not scale BELOW the 1-shard baseline. Oversubscribed
   # points are reported but not gated (same reasoning as above).
-  if ! awk -v hw="$hw" '
+  if ! scaling_failures="$(awk -v hw="$hw" '
       /"shards":/            { s = $2 + 0 }
       /"speedup_vs_1shard":/ { sp = $2 + 0 }
       /"undersubscribed":/   { under = ($2 ~ /true/) }
       /^    \}/ {
         if (hw >= 2 && s > 1 && !under && sp < 1.0) {
-          printf "scaling smoke: %d-shard speedup %.2f < 1.0\n", s, sp \
-            > "/dev/stderr"
+          printf "scaling smoke: %d-shard speedup %.2f < 1.0\n", s, sp
           bad = 1
         }
       }
-      END { exit bad }' "$perf_dir/BENCH_scaling.json"; then
-    exit 1
+      END { exit bad }' "$perf_dir/BENCH_scaling.json")"; then
+    while IFS= read -r line; do fail_gate "$line"; done \
+      <<< "$scaling_failures"
   fi
-  echo "scaling smoke OK"
+  stage_ok "scaling smoke"
 
   echo "== chaos smoke (crash/fault/scrub sweep) =="
+  stage_start=${#failed_gates[@]}
   cmake --build "$perf_dir" -j "$jobs" --target chaos_sweep
   # Exits nonzero on any recovered-prefix violation or undetected rot;
   # writes BENCH_chaos.json into the build dir.
-  (cd "$perf_dir" && ./bench/chaos_sweep)
+  if ! (cd "$perf_dir" && ./bench/chaos_sweep); then
+    fail_gate "chaos smoke: chaos_sweep exited nonzero"
+  fi
   for key in prefix_violations recovered_records recovery_latency_us_mean \
              scrub_mismatches scrub_repaired scrub_quarantined; do
     if ! grep -q "\"$key\"" "$perf_dir/BENCH_chaos.json"; then
-      echo "chaos smoke: key '$key' missing from BENCH_chaos.json" >&2
-      exit 1
+      fail_gate "chaos smoke: key '$key' missing from BENCH_chaos.json"
     fi
   done
-  echo "chaos smoke OK"
+  stage_ok "chaos smoke"
 
   echo "== net smoke (loopback server + closed/open-loop sweep) =="
+  stage_start=${#failed_gates[@]}
   cmake --build "$perf_dir" -j "$jobs" --target net_sweep
   # Spins up the epoll server on an ephemeral loopback port, runs the
   # shortened closed-loop depth sweep + open-loop Poisson section, and
   # writes BENCH_net.json into the build dir. The binary itself exits
   # nonzero if any request failed or went unanswered, so a lossy server
   # cannot pass this stage.
-  (cd "$perf_dir" && E2NVM_NET_SMOKE=1 ./bench/net_sweep)
+  if ! (cd "$perf_dir" && E2NVM_NET_SMOKE=1 ./bench/net_sweep); then
+    fail_gate "net smoke: net_sweep exited nonzero"
+  fi
   for key in workers shards value_bits pipeline_depth closed_loop \
              put_depth1 put_depth32 get_depth1 get_depth32 multi_put \
              ops_per_s p50_us p99_us p999_us \
@@ -197,8 +215,7 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
              offered_ops_per_s achieved_ops_per_s \
              dropped_requests failed_requests undersubscribed; do
     if ! grep -q "\"$key\"" "$perf_dir/BENCH_net.json"; then
-      echo "net smoke: key '$key' missing from BENCH_net.json" >&2
-      exit 1
+      fail_gate "net smoke: key '$key' missing from BENCH_net.json"
     fi
   done
   # The pipelining gate stays armed even on undersubscribed boxes: the
@@ -207,28 +224,29 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
   # batching, not from parallelism the machine may lack.
   net_speedup="$(sed -nE \
       's/.*"pipelined_put_speedup_vs_depth1": ([0-9.]+).*/\1/p' \
-      "$perf_dir/BENCH_net.json" | head -1)"
+      "$perf_dir/BENCH_net.json" 2>/dev/null | head -1 || true)"
   if ! awk -v s="$net_speedup" 'BEGIN { exit !(s >= 2.0) }'; then
-    echo "net smoke: pipelined PUT speedup $net_speedup < 2.0" >&2
-    exit 1
+    fail_gate "net smoke: pipelined PUT speedup $net_speedup < 2.0"
   fi
-  echo "net smoke OK (pipelined_put_speedup_vs_depth1=$net_speedup)"
+  stage_ok "net smoke (pipelined_put_speedup_vs_depth1=$net_speedup)"
 
   echo "== workload smoke (scenario matrix -> BENCH_workloads.json) =="
+  stage_start=${#failed_gates[@]}
   cmake --build "$perf_dir" -j "$jobs" --target workload_sweep
   # Runs the shortened scenario matrix (skew / YCSB mixes / churn /
   # drift / mixed-width / net front-end). The binary itself exits
   # nonzero when any operation fails or the store's final key count
   # disagrees with the generator, so a lossy scenario cannot pass.
-  (cd "$perf_dir" && E2NVM_WORKLOAD_SMOKE=1 ./bench/workload_sweep)
+  if ! (cd "$perf_dir" && E2NVM_WORKLOAD_SMOKE=1 ./bench/workload_sweep); then
+    fail_gate "workload smoke: workload_sweep exited nonzero"
+  fi
   for key in scenarios zipf_theta churn_fraction drift_period pad \
              reads updates inserts deletes scans scan_misses failed_ops \
              live_keys store_keys ops_per_s flips_per_bit pj_per_write \
              total_pj retrains background_retrains refine_steps \
              incremental undersubscribed; do
     if ! grep -q "\"$key\"" "$perf_dir/BENCH_workloads.json"; then
-      echo "workload smoke: key '$key' missing from BENCH_workloads.json" >&2
-      exit 1
+      fail_gate "workload smoke: key '$key' missing from BENCH_workloads.json"
     fi
   done
   for name in zipf_0.50 zipf_0.80 zipf_0.99 ycsb_a ycsb_b ycsb_c ycsb_d \
@@ -236,8 +254,7 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
               width_one width_random width_input width_dataset \
               width_memory net_ycsb_a; do
     if ! grep -q "\"name\": \"$name\"" "$perf_dir/BENCH_workloads.json"; then
-      echo "workload smoke: scenario '$name' missing" >&2
-      exit 1
+      fail_gate "workload smoke: scenario '$name' missing"
     fi
   done
   # Drift gate: the phase-shifted scenario must actually have fired at
@@ -247,8 +264,7 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
       in_drift && /"background_retrains":/ { bg = $2 + 0; found = 1 }
       END { exit !(found && bg >= 1) }' \
       "$perf_dir/BENCH_workloads.json"; then
-    echo "workload smoke: drift scenario recorded no background retrain" >&2
-    exit 1
+    fail_gate "workload smoke: drift scenario recorded no background retrain"
   fi
   # Incremental drift gate (§16): the same drifting stream with replay-
   # ring refinement on must absorb the drift entirely inline — at least
@@ -263,9 +279,7 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
       in_inc && /"background_retrains":/  { bg = $2 + 0 }
       END { exit !(found && rs >= 1 && rt == 0 && bg == 0) }' \
       "$perf_dir/BENCH_workloads.json"; then
-    echo "workload smoke: drift_incremental gate failed" \
-         "(want refine_steps >= 1 and zero full retrains)" >&2
-    exit 1
+    fail_gate "workload smoke: drift_incremental gate failed (want refine_steps >= 1 and zero full retrains)"
   fi
   # Determinism anchor: zipf_0.99 and ycsb_a are the same scenario run
   # twice from scratch; their (seed-deterministic) flips_per_bit must
@@ -278,10 +292,9 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
       }
       END { exit !(a == b && a > 0) }' \
       "$perf_dir/BENCH_workloads.json"; then
-    echo "workload smoke: determinism anchor broken (zipf_0.99 vs ycsb_a)" >&2
-    exit 1
+    fail_gate "workload smoke: determinism anchor broken (zipf_0.99 vs ycsb_a)"
   fi
-  echo "workload smoke OK"
+  stage_ok "workload smoke"
 fi
 
 echo "== slowest tests =="
@@ -289,4 +302,9 @@ sed -nE 's@^ *[0-9]+/[0-9]+ Test +#[0-9]+: +([A-Za-z0-9_]+) .* (Passed|\*\*\*[A-
     "$timing_log" \
   | sort -rn | head -10 | awk '{printf "%8.2f s  %s\n", $1, $2}'
 
+if (( ${#failed_gates[@]} > 0 )); then
+  echo "== failed perf gates (${#failed_gates[@]}) ==" >&2
+  printf '  %s\n' "${failed_gates[@]}" >&2
+  exit 1
+fi
 echo "All checks passed."

@@ -97,25 +97,24 @@ void PlacementEngine::InsertClassified(const ml::BitRows& contents,
   }
 }
 
+Status PlacementEngine::TrainOn(const std::vector<uint64_t>& addrs) {
+  ml::BitRows contents = ContentsBits(addrs);
+  E2_RETURN_IF_ERROR(clusterer_->Train(contents));
+  stats_.train_flops += clusterer_->LastTrainFlops();
+  ChargeCpu(clusterer_->LastTrainFlops());
+  pool_.Clear();
+  InsertClassified(contents, addrs);
+  policy_.OnRetrain();
+  InvalidateClusterCache();
+  return Status::Ok();
+}
+
 Status PlacementEngine::Bootstrap() {
   const size_t n = config_.num_segments;
   if (n == 0) return Status::InvalidArgument("engine manages no segments");
   std::vector<uint64_t> addrs(n);
   for (size_t i = 0; i < n; ++i) addrs[i] = config_.first_segment + i;
-  ml::BitRows contents = ContentsBits(addrs);
-  E2_RETURN_IF_ERROR(clusterer_->Train(contents));
-  stats_.train_flops += clusterer_->LastTrainFlops();
-  // Charge model training to the CPU energy domain and the clock.
-  const nvm::EnergyModel& em = ctrl_->device().energy_model();
-  ctrl_->device().meter().ChargeLane(lane_, nvm::EnergyDomain::kCpuModel,
-                                     em.CpuPj(clusterer_->LastTrainFlops()));
-  ctrl_->device().meter().AdvanceTimeLane(
-      lane_, em.CpuNs(clusterer_->LastTrainFlops()));
-
-  pool_.Clear();
-  InsertClassified(contents, addrs);
-  policy_.OnRetrain();
-  InvalidateClusterCache();
+  E2_RETURN_IF_ERROR(TrainOn(addrs));
   bootstrapped_ = true;
   return Status::Ok();
 }
@@ -126,20 +125,8 @@ Status PlacementEngine::Retrain() {
     return Status::FailedPrecondition(
         "too few free segments to retrain on");
   }
-  ml::BitRows contents = ContentsBits(free_addrs);
-  E2_RETURN_IF_ERROR(clusterer_->Train(contents));
-  stats_.train_flops += clusterer_->LastTrainFlops();
-  const nvm::EnergyModel& em = ctrl_->device().energy_model();
-  ctrl_->device().meter().ChargeLane(lane_, nvm::EnergyDomain::kCpuModel,
-                                     em.CpuPj(clusterer_->LastTrainFlops()));
-  ctrl_->device().meter().AdvanceTimeLane(
-      lane_, em.CpuNs(clusterer_->LastTrainFlops()));
-
-  pool_.Clear();
-  InsertClassified(contents, free_addrs);
+  E2_RETURN_IF_ERROR(TrainOn(free_addrs));
   ++stats_.retrains;
-  policy_.OnRetrain();
-  InvalidateClusterCache();
   return Status::Ok();
 }
 
@@ -162,22 +149,6 @@ Status PlacementEngine::ExtendRegion(size_t extra) {
   return Status::Ok();
 }
 
-StatusOr<std::vector<float>> PlacementEngine::Featurize(
-    const BitVector& value) {
-  const size_t dim = ctrl_->segment_bits();
-  seen_ones_ += value.Popcount();
-  seen_bits_ += value.size();
-  if (value.size() == dim) return value.ToFloats();
-  if (padder_ == nullptr) {
-    // Default: zero-extend at the end.
-    BitVector full(dim);
-    full.Overlay(0, value);
-    return full.ToFloats();
-  }
-  E2_ASSIGN_OR_RETURN(BitVector padded, PadForModel(value));
-  return padded.ToFloats();
-}
-
 StatusOr<const BitVector*> PlacementEngine::ModelImage(
     const BitVector& value) {
   const size_t dim = ctrl_->segment_bits();
@@ -185,19 +156,13 @@ StatusOr<const BitVector*> PlacementEngine::ModelImage(
   seen_bits_ += value.size();
   if (value.size() == dim) return &value;
   if (padder_ == nullptr) {
-    // Zero-extend at the end — the bits Featurize builds via Overlay.
+    // Default: zero-extend at the end.
     pad_scratch_.AssignZeros(dim);
     pad_scratch_.Overlay(0, value);
     return &pad_scratch_;
   }
   E2_RETURN_IF_ERROR(PadForModelInto(value, &pad_scratch_));
   return &pad_scratch_;
-}
-
-StatusOr<BitVector> PlacementEngine::PadForModel(const BitVector& value) {
-  BitVector padded;
-  E2_RETURN_IF_ERROR(PadForModelInto(value, &padded));
-  return padded;
 }
 
 Status PlacementEngine::PadForModelInto(const BitVector& value,
@@ -227,27 +192,33 @@ Status PlacementEngine::PadForModelInto(const BitVector& value,
   return padder_->PadInto(value, ctx, out);
 }
 
-void PlacementEngine::ChargePrediction() {
+void PlacementEngine::ChargeCpu(double flops) {
   const nvm::EnergyModel& em = ctrl_->device().energy_model();
-  double flops = clusterer_->PredictFlops();
-  stats_.predict_flops += flops;
   ctrl_->device().meter().ChargeLane(lane_, nvm::EnergyDomain::kCpuModel,
                                      em.CpuPj(flops));
   ctrl_->device().meter().AdvanceTimeLane(lane_, em.CpuNs(flops));
 }
 
-StatusOr<size_t> PlacementEngine::PredictClusterFor(const BitVector& value) {
-  if (config_.reference_inference) {
-    E2_ASSIGN_OR_RETURN(std::vector<float> feats, Featurize(value));
-    ChargePrediction();
-    return clusterer_->PredictCluster(feats);
-  }
-  E2_ASSIGN_OR_RETURN(const BitVector* image, ModelImage(value));
+void PlacementEngine::ChargePrediction() {
+  double flops = clusterer_->PredictFlops();
+  stats_.predict_flops += flops;
+  ChargeCpu(flops);
+}
+
+size_t PlacementEngine::AssignOne(const BitVector& image) {
   scratch_.Stage(1, ctrl_->segment_bits());
-  scratch_.SetRow(0, *image);
+  scratch_.SetRow(0, image);
   ChargePrediction();
   clusterer_->AssignScratch(&scratch_);
   return scratch_.clusters[0];
+}
+
+StatusOr<size_t> PlacementEngine::PredictClusterFor(const BitVector& value) {
+  if (value.size() > ctrl_->segment_bits()) {
+    return Status::InvalidArgument("value wider than a segment");
+  }
+  E2_ASSIGN_OR_RETURN(const BitVector* image, ModelImage(value));
+  return AssignOne(*image);
 }
 
 void PlacementEngine::PredictValue(const BitVector& value, bool* model_ok,
@@ -257,26 +228,9 @@ void PlacementEngine::PredictValue(const BitVector& value, bool* model_ok,
   // instead of surfacing the error to the client.
   *model_ok = true;
   *cluster = 0;
-  if (config_.reference_inference) {
-    StatusOr<std::vector<float>> feats = Featurize(value);
-    if (feats.ok()) {
-      ChargePrediction();
-      *cluster = clusterer_->PredictCluster(*feats);
-      return;
-    }
-    *model_ok = false;
-    ++stats_.model_fallbacks;
-    E2_LOG(kWarning, "placement model unhealthy, using first-free: %s",
-           feats.status().ToString().c_str());
-    return;
-  }
   StatusOr<const BitVector*> image = ModelImage(value);
   if (image.ok()) {
-    scratch_.Stage(1, ctrl_->segment_bits());
-    scratch_.SetRow(0, **image);
-    ChargePrediction();
-    clusterer_->AssignScratch(&scratch_);
-    *cluster = scratch_.clusters[0];
+    *cluster = AssignOne(**image);
     return;
   }
   *model_ok = false;
@@ -358,8 +312,7 @@ StatusOr<uint64_t> PlacementEngine::PlaceAt(const BitVector& value,
     if (*addr >= config_.first_segment &&
         *addr - config_.first_segment < placed_cluster_.size()) {
       placed_cluster_[*addr - config_.first_segment] =
-          (!config_.reference_inference && model_ok &&
-           value.size() == ctrl_->segment_bits())
+          (model_ok && value.size() == ctrl_->segment_bits())
               ? static_cast<int32_t>(cluster)
               : -1;
     }
@@ -385,7 +338,7 @@ Status PlacementEngine::PlaceMany(
       }
     }
   }
-  if (config_.reference_inference || padded_narrow) {
+  if (padded_narrow) {
     // Padding samples the live memory image, which every write in the
     // batch mutates, so those features cannot be staged up front; the
     // sequential loop produces the same placements, just unbatched.
@@ -493,10 +446,7 @@ void PlacementEngine::RefineStep() {
   // Refinement runs inline on the write path: unlike a background
   // retrain it costs both CPU energy and write-path time — which is
   // fine, because one step is orders of magnitude below a full retrain.
-  const nvm::EnergyModel& em = ctrl_->device().energy_model();
-  ctrl_->device().meter().ChargeLane(lane_, nvm::EnergyDomain::kCpuModel,
-                                     em.CpuPj(flops));
-  ctrl_->device().meter().AdvanceTimeLane(lane_, em.CpuNs(flops));
+  ChargeCpu(flops);
   policy_.OnRefine();
   retrain_failures_in_row_ = 0;
   // The model moved: placement-time cluster memos are stale. The DAP is
@@ -649,7 +599,7 @@ Status PlacementEngine::Release(uint64_t addr) {
   // recycled into.
   size_t cluster;
   int32_t memo = -1;
-  if (!config_.reference_inference && addr >= config_.first_segment &&
+  if (addr >= config_.first_segment &&
       addr - config_.first_segment < placed_cluster_.size()) {
     memo = placed_cluster_[addr - config_.first_segment];
   }
@@ -662,20 +612,12 @@ Status PlacementEngine::Release(uint64_t addr) {
     ChargePrediction();
     cluster = static_cast<size_t>(memo);
     ++stats_.release_cluster_hits;
-  } else if (config_.reference_inference) {
-    BitVector content = ctrl_->Peek(addr);
-    ChargePrediction();
-    cluster = clusterer_->PredictCluster(content.ToFloats());
   } else {
     // PeekInto + the reused peek buffer keep the memo-miss path (first
     // release of a key, or any release right after a model swap
     // invalidated the cache) off the heap, like the rest of the chain.
     ctrl_->PeekInto(addr, &peek_scratch_);
-    scratch_.Stage(1, ctrl_->segment_bits());
-    scratch_.SetRow(0, peek_scratch_);
-    ChargePrediction();
-    clusterer_->AssignScratch(&scratch_);
-    cluster = scratch_.clusters[0];
+    cluster = AssignOne(peek_scratch_);
   }
   pool_.Insert(cluster, addr);
   ++stats_.releases;

@@ -43,7 +43,7 @@ struct EngineStats {
   uint64_t quarantined_segments = 0;
   /// Device-level verify retries accumulated across placements.
   uint64_t write_retries = 0;
-  /// Featurize/predict failed; first-free placement used instead.
+  /// Model image/predict failed; first-free placement used instead.
   uint64_t model_fallbacks = 0;
   /// Auto-retrains that failed (each starts/extends the backoff).
   uint64_t failed_retrains = 0;
@@ -126,12 +126,6 @@ class PlacementEngine : public index::ValuePlacer {
     /// for this many placements, doubling on consecutive failures (up to
     /// 64x), so a broken retrain cannot re-run and re-log on every write.
     size_t retrain_backoff_writes = 64;
-    /// Serve predictions through the allocating reference path
-    /// (Featurize + PredictCluster per value, content re-encode on every
-    /// Release) instead of the scratch/batched fast path. The fast path
-    /// is bit-identical — this switch exists for the equivalence tests
-    /// and A/B debugging, not for production use.
-    bool reference_inference = false;
 
     /// --- Incremental online learning (DESIGN.md §16) ---
     /// When enabled (and the clusterer supports PartialFit), the engine
@@ -233,7 +227,9 @@ class PlacementEngine : public index::ValuePlacer {
   size_t FreeCount() const override { return pool_.TotalFree(); }
 
   /// Cluster the engine would choose for `value` (no side effects beyond
-  /// CPU accounting) — used by tests and the padding experiments.
+  /// CPU accounting and the padding counters) — used by tests and the
+  /// padding experiments. InvalidArgument when `value` is wider than a
+  /// segment, as for Place.
   StatusOr<size_t> PredictClusterFor(const BitVector& value);
 
   /// Replay ring of recently written segment images (empty capacity
@@ -255,25 +251,28 @@ class PlacementEngine : public index::ValuePlacer {
   uint64_t retrain_cooldown() const { return retrain_cooldown_; }
 
  private:
-  /// Pads (if configured) and featurizes a value for the model.
-  StatusOr<std::vector<float>> Featurize(const BitVector& value);
-  /// The scratch path's featurization: the value's model image (the
-  /// bits Featurize expands to floats) — `value` itself at full width,
-  /// else `value` zero-extended (no padder) or padded into
-  /// pad_scratch_. Same counter updates and padding decisions as
-  /// Featurize; allocation-free once pad_scratch_ is warm. The pointer
-  /// is valid until the next ModelImage call.
+  /// Trains the clusterer on the contents of `addrs`, charges the
+  /// training flops, and rebuilds the DAP from `addrs` under the new
+  /// model — the shared body of Bootstrap and Retrain.
+  Status TrainOn(const std::vector<uint64_t>& addrs);
+  /// The value's model image, the bits the model sees: `value` itself
+  /// at full width, else `value` zero-extended (no padder) or padded
+  /// into pad_scratch_. Advances the running 1-ratio counters once per
+  /// call; allocation-free once pad_scratch_ is warm. The pointer is
+  /// valid until the next ModelImage call.
   StatusOr<const BitVector*> ModelImage(const BitVector& value);
   /// The padding step of ModelImage: builds the PaddingContext
   /// (dataset/memory 1-ratios, LSTM, RNG) and pads `value` into `out`.
   /// The memory 1-ratio samples segments through peek_scratch_, so with
   /// a universal padder this allocates nothing once `out` is warm.
   Status PadForModelInto(const BitVector& value, BitVector* out);
-  /// Allocating PadForModelInto for the reference Featurize path.
-  StatusOr<BitVector> PadForModel(const BitVector& value);
-  /// Predicts `value`'s cluster through the configured inference path
-  /// (scratch fast path or reference), with Place's degraded-mode
-  /// fallback on featurize failure (*model_ok = false).
+  /// Stages one segment-width model image in the inference scratch,
+  /// charges one prediction, and returns the serving model's cluster.
+  size_t AssignOne(const BitVector& image);
+  /// Predicts `value`'s cluster (ModelImage + AssignOne), with Place's
+  /// degraded-mode fallback on featurize failure (*model_ok = false).
+  /// tests/fastpath_equivalence_test.cc pins the placements this path
+  /// produces to golden fixtures.
   void PredictValue(const BitVector& value, bool* model_ok,
                     size_t* cluster);
   /// The acquire/write loop of Place: pops addresses (of `cluster` when
@@ -283,6 +282,10 @@ class PlacementEngine : public index::ValuePlacer {
                              bool model_ok);
   /// Forgets every memoized placed cluster (model changed).
   void InvalidateClusterCache();
+  /// Charges `flops` of model compute to the CPU energy domain and
+  /// advances the lane clock by their time.
+  void ChargeCpu(double flops);
+  /// ChargeCpu for one prediction of the serving model.
   void ChargePrediction();
   /// Runs the auto-retrain policy after a placement, honoring the
   /// failure backoff.

@@ -31,7 +31,6 @@ struct StoreConfig {
   E2ModelConfig model;
 
   /// Placement engine knobs.
-  bool search_best_in_cluster = false;
   bool auto_retrain = false;
   /// Train replacement models on a background thread and swap them in
   /// atomically instead of stalling a PUT for the whole rebuild (implies
@@ -65,10 +64,6 @@ struct StoreConfig {
   size_t replay_ring_capacity = 256;
   /// Rows per refinement step (the most recent writes, oldest first).
   size_t refine_batch = 16;
-  /// Serve placements through the allocating reference inference path
-  /// instead of the scratch/batched fast path (bit-identical results;
-  /// for the equivalence tests and A/B debugging).
-  bool reference_inference = false;
 
   /// Fault tolerance: read-back verify of every segment write, with up to
   /// `max_write_retries` reprogram attempts before spare-cell repair and,

@@ -73,9 +73,9 @@ class Vae {
   Matrix EncodeMu(const BitRows& x);
 
   /// Reference encoding of one 0.0/1.0 float vector (length input_dim)
-  /// to its latent mean: the float first layer the write path's
-  /// reference_inference oracle runs. Bit-identical to EncodeMuInto on
-  /// the same bits.
+  /// to its latent mean: the float oracle the write path's bit-row
+  /// encoder is tested against. Bit-identical to EncodeMuInto on the
+  /// same bits.
   std::vector<float> EncodeOne(const std::vector<float>& x);
 
   /// Inference-only encoder of bit rows into caller-owned scratch:

@@ -1,17 +1,26 @@
-// Equivalence of the write-path inference fast path (scratch buffers,
-// fused k-means assignment, batched PlaceMany, Release cluster memo)
-// with the allocating reference path: identical placement addresses,
-// cluster ids, and device flip counts for the same PUT stream — the
-// fast path is an optimization, never a behavior change — with and
-// without memory-based padding of narrow values. Also pins the
-// zero-allocation contract of steady-state prediction and PUTs.
+// Pins the write-path inference (scratch buffers, fused k-means
+// assignment, batched PlaceMany, Release cluster memo) to golden
+// fixtures: placement addresses, device flip counts and the retrain /
+// refine / swap schedule for fixed PUT streams, with and without
+// memory-based padding of narrow values. The fixtures were recorded at
+// commit 9fb2d53 from the engine's former allocating reference path
+// (float featurize + PredictCluster per value, content re-encode on
+// every Release), and the fast path matched every one of them there.
+// Single-value predictions are also checked against the model's float
+// oracle directly. Also pins the zero-allocation contract of
+// steady-state prediction and PUTs.
 
+#include <algorithm>
+#include <array>
 #include <cstdlib>
+#include <iterator>
 #include <new>
-#include <string>
+#include <optional>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
+#include "common/kernels.h"
 #include "core/padding.h"
 #include "core/store.h"
 #include "workload/datasets.h"
@@ -56,7 +65,6 @@ workload::BitDataset ClusteredData(uint64_t seed) {
 }
 
 std::unique_ptr<E2KvStore> MakeStore(const workload::BitDataset& ds,
-                                     bool reference,
                                      bool background_retrain = false) {
   StoreConfig sc;
   sc.num_segments = kSegments;
@@ -67,7 +75,6 @@ std::unique_ptr<E2KvStore> MakeStore(const workload::BitDataset& ds,
   sc.auto_retrain = true;
   sc.background_retrain = background_retrain;
   sc.retrain.min_free_per_cluster = 8;
-  sc.reference_inference = reference;
   auto store_or = E2KvStore::Create(sc);
   EXPECT_TRUE(store_or.ok());
   auto store = std::move(*store_or);
@@ -76,70 +83,76 @@ std::unique_ptr<E2KvStore> MakeStore(const workload::BitDataset& ds,
   return store;
 }
 
-/// Every observable outcome that must match between the two paths.
-struct Observed {
-  std::vector<std::optional<uint64_t>> addrs;  // Per-key final address.
+/// Every observable outcome a fixture pins.
+struct Golden {
+  uint32_t addrs_crc;  // CRC32C of the kKeys final key addresses.
   uint64_t data_flips;
   uint64_t writes;
   uint64_t placements;
   uint64_t fallbacks;
+  uint64_t retrains;
+
+  bool operator==(const Golden&) const = default;
 };
 
-Observed ObserveStore(E2KvStore& store) {
-  Observed o;
+std::ostream& operator<<(std::ostream& os, const Golden& g) {
+  return os << "{addrs_crc 0x" << std::hex << g.addrs_crc << std::dec
+            << ", data_flips " << g.data_flips << ", writes " << g.writes
+            << ", placements " << g.placements << ", fallbacks "
+            << g.fallbacks << ", retrains " << g.retrains << "}";
+}
+
+Golden Observe(E2KvStore& store) {
+  std::array<uint64_t, kKeys> addrs;
   for (uint64_t key = 0; key < kKeys; ++key) {
-    o.addrs.push_back(store.tree().Get(key));
+    std::optional<uint64_t> addr = store.tree().Get(key);
+    EXPECT_TRUE(addr.has_value()) << "key " << key;
+    addrs[key] = addr.value_or(~uint64_t{0});
   }
-  o.data_flips = store.device().stats().data_bits_flipped;
-  o.writes = store.device().stats().writes;
-  o.placements = store.engine().stats().placements;
-  o.fallbacks = store.engine().stats().fallback_placements;
-  return o;
+  return {Crc32c(addrs.data(), sizeof(addrs)),
+          store.device().stats().data_bits_flipped,
+          store.device().stats().writes,
+          store.engine().stats().placements,
+          store.engine().stats().fallback_placements,
+          store.engine().stats().retrains};
 }
 
-void ExpectSame(const Observed& ref, const Observed& fast) {
-  EXPECT_EQ(ref.addrs, fast.addrs);
-  EXPECT_EQ(ref.data_flips, fast.data_flips);
-  EXPECT_EQ(ref.writes, fast.writes);
-  EXPECT_EQ(ref.placements, fast.placements);
-  EXPECT_EQ(ref.fallbacks, fast.fallbacks);
-}
-
-TEST(FastPathEquivalence, SequentialPutsMatchReferenceAcrossSeeds) {
-  for (uint64_t seed : {2u, 11u, 29u}) {
-    auto ds = ClusteredData(seed);
-    auto ref = MakeStore(ds, /*reference=*/true);
-    auto fast = MakeStore(ds, /*reference=*/false);
+TEST(FastPathEquivalence, SequentialPutsMatchGoldenAcrossSeeds) {
+  struct Case {
+    uint64_t seed;
+    Golden golden;
+  };
+  const Case kCases[] = {
+      {2, {0xf0771768u, 2564, 300, 300, 0, 1}},
+      {11, {0x1ee8601bu, 3478, 300, 300, 0, 20}},
+      {29, {0x1499ffaau, 2773, 300, 300, 0, 9}},
+  };
+  for (const Case& c : kCases) {
+    auto ds = ClusteredData(c.seed);
+    auto store = MakeStore(ds);
     for (uint64_t i = 0; i < 300; ++i) {
       const auto& v = ds.items[i % ds.items.size()];
-      ASSERT_TRUE(ref->Put(i % kKeys, v).ok()) << "seed " << seed;
-      ASSERT_TRUE(fast->Put(i % kKeys, v).ok()) << "seed " << seed;
+      ASSERT_TRUE(store->Put(i % kKeys, v).ok()) << "seed " << c.seed;
     }
-    ExpectSame(ObserveStore(*ref), ObserveStore(*fast));
-    // Same synchronous retrain schedule on both sides.
-    EXPECT_EQ(ref->engine().stats().retrains,
-              fast->engine().stats().retrains);
-    EXPECT_GT(fast->engine().stats().retrains, 0u) << "seed " << seed;
+    EXPECT_EQ(Observe(*store), c.golden) << "seed " << c.seed;
   }
 }
 
-TEST(FastPathEquivalence, PredictClusterMatchesReference) {
+TEST(FastPathEquivalence, PredictClusterMatchesModelOracle) {
   auto ds = ClusteredData(5);
-  auto ref = MakeStore(ds, /*reference=*/true);
-  auto fast = MakeStore(ds, /*reference=*/false);
+  auto store = MakeStore(ds);
   for (size_t i = 0; i < ds.items.size(); ++i) {
-    auto a = ref->engine().PredictClusterFor(ds.items[i]);
-    auto b = fast->engine().PredictClusterFor(ds.items[i]);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(*a, *b) << "item " << i;
+    auto c = store->engine().PredictClusterFor(ds.items[i]);
+    ASSERT_TRUE(c.ok());
+    EXPECT_EQ(*c, store->model().PredictCluster(ds.items[i].ToFloats()))
+        << "item " << i;
   }
 }
 
 TEST(FastPathEquivalence, MultiPutMatchesSequentialPuts) {
   auto ds = ClusteredData(7);
-  auto seq = MakeStore(ds, /*reference=*/false);
-  auto batched = MakeStore(ds, /*reference=*/false);
+  auto seq = MakeStore(ds);
+  auto batched = MakeStore(ds);
   constexpr size_t kBatch = 16;
   std::vector<std::pair<uint64_t, BitVector>> kvs;
   for (uint64_t i = 0; i < 320; ++i) {
@@ -170,66 +183,57 @@ TEST(FastPathEquivalence, MultiPutMatchesSequentialPuts) {
   EXPECT_EQ(batched->engine().stats().fallback_placements, 0u);
 }
 
-TEST(FastPathEquivalence, MultiPutMatchesReferenceWithoutUpdates) {
-  // Unique keys: no mid-stream recycling, so the batched fast path must
-  // reproduce the reference path address-for-address and flip-for-flip.
+TEST(FastPathEquivalence, MultiPutMatchesGoldenWithoutUpdates) {
+  // Unique keys: no mid-stream recycling, so the batched path must land
+  // every value where sequential placement did, address for address.
   auto ds = ClusteredData(13);
-  auto ref = MakeStore(ds, /*reference=*/true);
-  auto batched = MakeStore(ds, /*reference=*/false);
+  auto batched = MakeStore(ds);
   constexpr size_t kBatch = 12;
   std::vector<std::pair<uint64_t, BitVector>> kvs;
   for (uint64_t i = 0; i < kKeys; ++i) {
-    const auto& v = ds.items[i % ds.items.size()];
-    ASSERT_TRUE(ref->Put(i, v).ok());
-    kvs.emplace_back(i, v);
+    kvs.emplace_back(i, ds.items[i % ds.items.size()]);
     if (kvs.size() == kBatch) {
       ASSERT_TRUE(batched->MultiPut(kvs).ok());
       kvs.clear();
     }
   }
   ASSERT_TRUE(batched->MultiPut(kvs).ok());
-  ExpectSame(ObserveStore(*ref), ObserveStore(*batched));
+  EXPECT_EQ(Observe(*batched), (Golden{0xd3472330u, 0, 48, 48, 0, 0}));
 }
 
-TEST(FastPathEquivalence, NarrowMultiPutMatchesReferenceWithoutPadder) {
+TEST(FastPathEquivalence, NarrowMultiPutMatchesGoldenWithoutPadder) {
   // Mixed widths with no padder: the batched path stages each value's
   // zero-extended image as a bit row, which must place exactly like the
-  // reference path's Overlay + ToFloats features. Both stores go
-  // through MultiPut, so updates recycle at the same points on both
-  // sides; the reference engine places the batch one value at a time.
+  // float features of the zero-extended value did.
   auto ds = ClusteredData(31);
-  auto ref = MakeStore(ds, /*reference=*/true);
-  auto batched = MakeStore(ds, /*reference=*/false);
+  auto batched = MakeStore(ds);
+  constexpr uint64_t kOps = 320;
   constexpr size_t kBatch = 16;
-  std::vector<std::pair<uint64_t, BitVector>> kvs;
-  for (uint64_t i = 0; i < 320; ++i) {
+  auto value = [&](uint64_t i) {
     const size_t width = kBits - (i % 5) * 37;
-    kvs.emplace_back(i % kKeys,
-                     ds.items[i % ds.items.size()].Slice(0, width));
+    return ds.items[i % ds.items.size()].Slice(0, width);
+  };
+  std::vector<std::pair<uint64_t, BitVector>> kvs;
+  for (uint64_t i = 0; i < kOps; ++i) {
+    kvs.emplace_back(i % kKeys, value(i));
     if (kvs.size() == kBatch) {
-      ASSERT_TRUE(ref->MultiPut(kvs).ok());
       ASSERT_TRUE(batched->MultiPut(kvs).ok());
       kvs.clear();
     }
   }
-  ExpectSame(ObserveStore(*ref), ObserveStore(*batched));
-  EXPECT_EQ(ref->engine().stats().retrains,
-            batched->engine().stats().retrains);
-  EXPECT_GT(batched->engine().stats().retrains, 0u);
-  for (uint64_t key = 0; key < kKeys; ++key) {
-    auto a = ref->Get(key);
-    auto b = batched->Get(key);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(*a, *b) << "key " << key;
+  EXPECT_EQ(Observe(*batched), (Golden{0x97f339bbu, 12920, 320, 320, 0, 31}));
+  // Every key reads back the value of its last write.
+  for (uint64_t i = kOps - kKeys; i < kOps; ++i) {
+    auto v = batched->Get(i % kKeys);
+    ASSERT_TRUE(v.ok());
+    EXPECT_EQ(*v, value(i)) << "key " << i % kKeys;
   }
 }
 
 /// A store whose drift detector answers degradation with inline
 /// refinement steps (never a full retrain): a short window and refine
 /// interval so a few hundred drifting PUTs refine many times.
-std::unique_ptr<E2KvStore> MakeRefiningStore(const workload::BitDataset& ds,
-                                             bool reference) {
+std::unique_ptr<E2KvStore> MakeRefiningStore(const workload::BitDataset& ds) {
   StoreConfig sc;
   sc.num_segments = kSegments;
   sc.segment_bits = kBits;
@@ -246,7 +250,6 @@ std::unique_ptr<E2KvStore> MakeRefiningStore(const workload::BitDataset& ds,
   sc.incremental_learning = true;
   sc.replay_ring_capacity = 64;
   sc.refine_batch = 16;
-  sc.reference_inference = reference;
   auto store_or = E2KvStore::Create(sc);
   EXPECT_TRUE(store_or.ok());
   auto store = std::move(*store_or);
@@ -255,67 +258,62 @@ std::unique_ptr<E2KvStore> MakeRefiningStore(const workload::BitDataset& ds,
   return store;
 }
 
-TEST(FastPathEquivalence, MultiPutMatchesSequentialPutsAcrossRefineSteps) {
+TEST(FastPathEquivalence, MultiPutMatchesGoldenAcrossRefineSteps) {
   // Phase A matches the seeded distribution; phase B redraws the
   // prototypes, so the flip ratio degrades and refinement steps fire
   // inside batches. After each mid-batch step the batched engine
   // re-assigns its remaining staged bit rows under the refined model;
-  // the reference store places every value of the batch sequentially.
+  // the fixture's per-batch step counts come from placing every value
+  // of the batch sequentially.
+  constexpr uint64_t kRefinesAfterBatch[] = {
+      0,  0,  0,  0,  1,  2,  4,  5,  7,  9,  10, 12, 14, 15, 17,
+      18, 20, 22, 23, 25, 27, 28, 30, 31, 33, 35, 36, 38, 40, 41};
   auto seed_ds = ClusteredData(41);
   auto drift_ds = ClusteredData(43);
-  auto ref = MakeRefiningStore(seed_ds, /*reference=*/true);
-  auto batched = MakeRefiningStore(seed_ds, /*reference=*/false);
+  auto batched = MakeRefiningStore(seed_ds);
   constexpr size_t kBatch = 13;  // Odd, so steps rarely end a batch.
   std::vector<std::pair<uint64_t, BitVector>> kvs;
+  size_t batch = 0;
   for (uint64_t i = 0; i < 390; ++i) {
     const auto& src = i < 64 ? seed_ds : drift_ds;
     kvs.emplace_back(i % kKeys, src.items[i % src.items.size()]);
     if (kvs.size() == kBatch) {
-      ASSERT_TRUE(ref->MultiPut(kvs).ok());
       ASSERT_TRUE(batched->MultiPut(kvs).ok());
-      ASSERT_EQ(ref->engine().stats().refine_steps,
-                batched->engine().stats().refine_steps)
+      ASSERT_EQ(batched->engine().stats().refine_steps,
+                kRefinesAfterBatch[batch++])
           << "op " << i;
       kvs.clear();
     }
   }
-  ExpectSame(ObserveStore(*ref), ObserveStore(*batched));
-  EXPECT_GT(batched->engine().stats().refine_steps, 1u)
-      << "no refinement step fired; the mid-batch re-assign never ran";
-  EXPECT_EQ(batched->engine().stats().retrains, 0u);
+  ASSERT_EQ(batch, std::size(kRefinesAfterBatch));
+  EXPECT_EQ(Observe(*batched), (Golden{0xe883af01u, 35006, 390, 390, 25, 0}));
 }
 
-TEST(FastPathEquivalence, MatchesReferenceAcrossBackgroundSwap) {
-  // Drive both stores through a deterministic shadow-model swap: run the
-  // same stream, and whenever a shadow training is in flight, drain it
-  // and adopt it at the same operation index on both sides.
+TEST(FastPathEquivalence, MatchesGoldenAcrossBackgroundSwap) {
+  // Drive the store through deterministic shadow-model swaps: whenever a
+  // shadow training is in flight, drain it and adopt it before the next
+  // operation. The fixture adopts its first shadow after op 255 and one
+  // more after each of the next 15 ops.
+  constexpr uint64_t kFirstSwapOp = 255;
+  constexpr uint64_t kSwaps = 16;
   auto ds = ClusteredData(17);
-  auto ref = MakeStore(ds, /*reference=*/true, /*background_retrain=*/true);
-  auto fast =
-      MakeStore(ds, /*reference=*/false, /*background_retrain=*/true);
-  auto drain = [](E2KvStore& s) {
-    while (s.engine().RetrainInFlight()) {
-    }
-    s.engine().PumpBackgroundRetrain();
-  };
+  auto fast = MakeStore(ds, /*background_retrain=*/true);
   for (uint64_t i = 0; i < 300; ++i) {
     const auto& v = ds.items[i % ds.items.size()];
-    ASSERT_TRUE(ref->Put(i % kKeys, v).ok());
     ASSERT_TRUE(fast->Put(i % kKeys, v).ok());
-    drain(*ref);
-    drain(*fast);
-    ASSERT_EQ(ref->engine().model_generation(),
-              fast->engine().model_generation())
-        << "op " << i;
+    while (fast->engine().RetrainInFlight()) {
+    }
+    fast->engine().PumpBackgroundRetrain();
+    const uint64_t want =
+        i < kFirstSwapOp ? 0 : std::min(i - kFirstSwapOp + 1, kSwaps);
+    ASSERT_EQ(fast->engine().model_generation(), want) << "op " << i;
   }
-  EXPECT_GT(fast->engine().model_generation(), 0u)
-      << "no shadow model was ever adopted; swap never exercised";
-  ExpectSame(ObserveStore(*ref), ObserveStore(*fast));
+  EXPECT_EQ(Observe(*fast), (Golden{0xfcd95bfcu, 2733, 300, 300, 0, 16}));
 }
 
 TEST(FastPathEquivalence, SteadyStatePredictionIsAllocationFree) {
   auto ds = ClusteredData(3);
-  auto store = MakeStore(ds, /*reference=*/false);
+  auto store = MakeStore(ds);
   // Warm up: first predictions size the scratch buffers (grow-only).
   for (size_t i = 0; i < 8; ++i) {
     ASSERT_TRUE(store->engine().PredictClusterFor(ds.items[i]).ok());
@@ -328,41 +326,40 @@ TEST(FastPathEquivalence, SteadyStatePredictionIsAllocationFree) {
   }
   EXPECT_EQ(t_alloc_count, before)
       << "steady-state PredictClusterFor allocated on the heap";
-  // The reference path allocates every call — the counter must move, or
+  // The float oracle allocates every call — the counter must move, or
   // the counting itself is broken and the assertion above is vacuous.
-  auto ref = MakeStore(ds, /*reference=*/true);
   before = t_alloc_count;
   for (size_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ref->engine().PredictClusterFor(ds.items[i]).ok());
+    store->model().PredictCluster(ds.items[i].ToFloats());
   }
   EXPECT_GT(t_alloc_count, before);
 }
 
-TEST(FastPathEquivalence, PaddedNarrowPutsMatchReference) {
+TEST(FastPathEquivalence, PaddedNarrowPutsMatchGolden) {
   // Memory-based padding over mixed widths {1/4, 1/2, 3/4, 1}: features
-  // depend on the live memory image and the padding RNG, so both paths
-  // must sample the same segments and draw the same pad bits in the same
-  // order to land every value at the same address.
+  // depend on the live memory image and the padding RNG, so every value
+  // lands where the fixture says only if the engine samples the same
+  // segments and draws the same pad bits in the same order.
+  struct Case {
+    PadLocation loc;
+    Golden golden;
+  };
+  const Case kCases[] = {
+      {PadLocation::kBegin, {0xa1384161u, 14961, 300, 300, 0, 27}},
+      {PadLocation::kMiddle, {0x2a562d68u, 14096, 300, 300, 0, 10}},
+      {PadLocation::kEnd, {0xe65d57e5u, 6229, 300, 300, 0, 18}},
+  };
   auto ds = ClusteredData(23);
-  for (auto loc : {PadLocation::kBegin, PadLocation::kMiddle,
-                   PadLocation::kEnd}) {
-    Padder padder(PadType::kMemoryBased, loc, kBits);
-    auto ref = MakeStore(ds, /*reference=*/true);
-    auto fast = MakeStore(ds, /*reference=*/false);
-    ref->engine().SetPadder(&padder, nullptr);
-    fast->engine().SetPadder(&padder, nullptr);
+  for (const Case& c : kCases) {
+    Padder padder(PadType::kMemoryBased, c.loc, kBits);
+    auto store = MakeStore(ds);
+    store->engine().SetPadder(&padder, nullptr);
     for (uint64_t i = 0; i < 300; ++i) {
       const size_t width = kBits * (1 + i % 4) / 4;
       BitVector v = ds.items[i % ds.items.size()].Slice(0, width);
-      ASSERT_TRUE(ref->Put(i % kKeys, v).ok());
-      ASSERT_TRUE(fast->Put(i % kKeys, v).ok());
+      ASSERT_TRUE(store->Put(i % kKeys, v).ok());
     }
-    const std::string where(PadLocationName(loc));
-    SCOPED_TRACE(where);
-    ExpectSame(ObserveStore(*ref), ObserveStore(*fast));
-    EXPECT_EQ(ref->engine().stats().retrains,
-              fast->engine().stats().retrains);
-    EXPECT_GT(fast->engine().stats().retrains, 0u);
+    EXPECT_EQ(Observe(*store), c.golden) << PadLocationName(c.loc);
   }
 }
 

@@ -247,6 +247,19 @@ TEST(PlacementEngineTest, WiderThanSegmentRejected) {
   ASSERT_TRUE(rig.engine->Bootstrap().ok());
   EXPECT_EQ(rig.engine->Place(BitVector(kBits + 1)).status().code(),
             StatusCode::kInvalidArgument);
+  // PredictClusterFor must refuse a wider value before staging it into
+  // the segment-width model image (an out-of-bounds word write
+  // otherwise), and charge no prediction for it.
+  const double flops = rig.engine->stats().predict_flops;
+  for (size_t bits : {kBits + 1, 4 * kBits}) {
+    BitVector wide(bits);
+    wide.Set(bits - 1, true);
+    EXPECT_EQ(rig.engine->PredictClusterFor(wide).status().code(),
+              StatusCode::kInvalidArgument)
+        << bits << " bits";
+  }
+  EXPECT_EQ(rig.engine->stats().predict_flops, flops);
+  EXPECT_TRUE(rig.engine->PredictClusterFor(BitVector(kBits)).ok());
 }
 
 }  // namespace
