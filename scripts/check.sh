@@ -30,17 +30,22 @@ run_ctest() {
     | tee -a "$timing_log"
 }
 
-echo "== plain build (must compile without warnings) =="
 build_log="$(mktemp)"
 trap 'rm -f "$timing_log" "$build_log"' EXIT
-build_tree "$repo_root/build" 2>&1 | tee "$build_log"
-# A warm tree recompiles only what changed, so this gates the changed
-# files; a fresh tree gates every file.
-if grep -q "warning:" "$build_log"; then
-  echo "plain build printed compiler warnings:" >&2
-  grep "warning:" "$build_log" >&2
-  exit 1
-fi
+# Runs a build command, showing its output, and exits 1 if the compiler
+# printed any warning. A warm tree recompiles only what changed, so this
+# gates the changed files; a fresh tree gates every file.
+gated_build() {
+  "$@" 2>&1 | tee "$build_log"
+  if grep -q "warning:" "$build_log"; then
+    echo "build printed compiler warnings:" >&2
+    grep "warning:" "$build_log" >&2
+    exit 1
+  fi
+}
+
+echo "== plain build (must compile without warnings) =="
+gated_build build_tree "$repo_root/build"
 echo "== unit tests (native SIMD dispatch) =="
 run_ctest "$repo_root/build" -L unit
 # The AVX2 pass matters on an AVX-512 host, where the native pass never
@@ -82,8 +87,10 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
   echo "== perf smoke (Release micro_ops, shortened pass) =="
   stage_start=${#failed_gates[@]}
   perf_dir="$repo_root/build-perf"
-  cmake -B "$perf_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$perf_dir" -j "$jobs" --target micro_ops
+  # The Release tree is gated for warnings like the plain build: some
+  # (e.g. -Wmismatched-new-delete) only show at -O3.
+  gated_build cmake -B "$perf_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
+  gated_build cmake --build "$perf_dir" -j "$jobs" --target micro_ops
   # Short store-ops pass; microbenchmarks are skipped via a filter that
   # matches nothing. Writes BENCH_ops.json into the build dir.
   (cd "$perf_dir" && E2NVM_OPS_SMOKE=1 \
@@ -183,7 +190,7 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
 
   echo "== chaos smoke (crash/fault/scrub sweep) =="
   stage_start=${#failed_gates[@]}
-  cmake --build "$perf_dir" -j "$jobs" --target chaos_sweep
+  gated_build cmake --build "$perf_dir" -j "$jobs" --target chaos_sweep
   # Exits nonzero on any recovered-prefix violation or undetected rot;
   # writes BENCH_chaos.json into the build dir.
   if ! (cd "$perf_dir" && ./bench/chaos_sweep); then
@@ -199,7 +206,7 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
 
   echo "== net smoke (loopback server + closed/open-loop sweep) =="
   stage_start=${#failed_gates[@]}
-  cmake --build "$perf_dir" -j "$jobs" --target net_sweep
+  gated_build cmake --build "$perf_dir" -j "$jobs" --target net_sweep
   # Spins up the epoll server on an ephemeral loopback port, runs the
   # shortened closed-loop depth sweep + open-loop Poisson section, and
   # writes BENCH_net.json into the build dir. The binary itself exits
@@ -232,7 +239,7 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
 
   echo "== workload smoke (scenario matrix -> BENCH_workloads.json) =="
   stage_start=${#failed_gates[@]}
-  cmake --build "$perf_dir" -j "$jobs" --target workload_sweep
+  gated_build cmake --build "$perf_dir" -j "$jobs" --target workload_sweep
   # Runs the shortened scenario matrix (skew / YCSB mixes / churn /
   # drift / mixed-width / net front-end). The binary itself exits
   # nonzero when any operation fails or the store's final key count

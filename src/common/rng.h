@@ -3,6 +3,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -21,7 +22,7 @@ class Rng {
   void Reseed(uint64_t seed);
 
   /// Next raw 64-bit value.
-  uint64_t NextU64();
+  uint64_t NextU64() { return Step(s_); }
 
   /// Uniform integer in [0, bound). Requires bound > 0.
   uint64_t NextBounded(uint64_t bound) {
@@ -46,6 +47,38 @@ class Rng {
   /// Bernoulli draw with probability `p` of true.
   bool NextBernoulli(double p) { return NextDouble() < p; }
 
+  /// Integer form of NextBernoulli(p): NextBernoulli(p) is exactly
+  /// `(NextU64() >> 11) < BernoulliThreshold(p)`. With k = u >> 11 in
+  /// [0, 2^53), NextDouble() is k * 2^-53, which is exact, so the draw
+  /// is true iff k < p * 2^53 as real numbers. Scaling a finite double
+  /// by 2^53 is exact (no overflow for p < 1), and for an integer k,
+  /// k < x holds iff k < ceil(x), so the threshold is ceil(p * 2^53).
+  /// p <= 0 and NaN never draw true (threshold 0); p >= 1 always does
+  /// (threshold 2^53, above every k).
+  static uint64_t BernoulliThreshold(double p) {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return uint64_t{1} << 53;
+    return static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+
+  /// `n` (<= 64) Bernoulli draws against `threshold` (see
+  /// BernoulliThreshold), the first in bit 0; bits at and above `n` are
+  /// zero. Takes the same state steps as n NextBernoulli calls, with the
+  /// state held in locals for the whole loop.
+  uint64_t NextBernoulliBits(uint64_t threshold, size_t n) {
+    assert(n <= 64);
+    uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+    uint64_t bits = 0;
+    for (size_t i = 0; i < n; ++i) {
+      bits |= uint64_t{(Step(s) >> 11) < threshold} << i;
+    }
+    s_[0] = s[0];
+    s_[1] = s[1];
+    s_[2] = s[2];
+    s_[3] = s[3];
+    return bits;
+  }
+
   /// Fisher-Yates shuffles `v` in place.
   template <typename T>
   void Shuffle(std::vector<T>& v) {
@@ -56,6 +89,23 @@ class Rng {
   }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
+  /// One xoshiro256** step on state `s`; returns the output word.
+  static uint64_t Step(uint64_t* s) {
+    const uint64_t result = Rotl(s[1] * 5, 7) * 9;
+    const uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = Rotl(s[3], 45);
+    return result;
+  }
+
   uint64_t s_[4];
   bool has_gauss_ = false;
   double gauss_ = 0.0;

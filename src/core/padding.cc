@@ -134,17 +134,13 @@ StatusOr<BitVector> Padder::LearnedPad(const BitVector& input, size_t q,
 
 namespace {
 
-/// Writes next_bit() into bits [begin, end) of `out`, lowest bit first,
-/// packing one destination word per SetBits.
-template <typename NextBit>
-void FillBits(size_t begin, size_t end, NextBit next_bit, BitVector* out) {
+/// Writes bits [begin, end) of `out` one destination word at a time:
+/// next_word(take) returns the word's `take` bits, lowest bit first.
+template <typename NextWord>
+void FillBits(size_t begin, size_t end, NextWord next_word, BitVector* out) {
   while (begin < end) {
     const size_t take = std::min(end - begin, 64 - (begin & 63));
-    uint64_t word = 0;
-    for (size_t i = 0; i < take; ++i) {
-      word |= uint64_t{next_bit()} << i;
-    }
-    out->SetBits(begin, word, take);
+    out->SetBits(begin, next_word(take), take);
     begin += take;
   }
 }
@@ -198,15 +194,20 @@ Status Padder::PadInto(const BitVector& input, const PaddingContext& ctx,
                                                              : 0;
   out->AssignZeros(model_dim_);
   out->CopyBits(data_at, input, 0, n);
-  auto fill = [&](auto next_bit) {
-    FillBits(0, data_at, next_bit, out);
-    FillBits(data_at + n, model_dim_, next_bit, out);
+  auto fill = [&](auto next_word) {
+    FillBits(0, data_at, next_word, out);
+    FillBits(data_at + n, model_dim_, next_word, out);
   };
   if (type_ == PadType::kOne) {
-    fill([] { return true; });
+    fill([](size_t) { return ~uint64_t{0}; });  // SetBits masks to take.
   } else if (bernoulli) {
+    // One NextBernoulliBits per word draws what one NextBernoulli(p)
+    // per pad bit would, in the same order.
     Rng* rng = ctx.rng;  // Null only when there is nothing to fill.
-    fill([rng, p] { return rng->NextBernoulli(p); });
+    const uint64_t threshold = Rng::BernoulliThreshold(p);
+    fill([rng, threshold](size_t take) {
+      return rng->NextBernoulliBits(threshold, take);
+    });
   }
   return Status::Ok();
 }

@@ -71,10 +71,12 @@ class Padder {
   /// copied word-wise to its slot and the pad bits are generated a word
   /// at a time straight into their final positions, so once `out` has
   /// reached model_dim bits the universal strategies allocate nothing.
-  /// Random/IB/DB/MB take exactly one ctx.rng->NextBernoulli per pad
-  /// bit, in pad order (the bits before the input, then the bits after
-  /// it); zero/one padding and a full-width input take none. Learned
-  /// padding keeps an allocating path. On error `out` is left unchanged.
+  /// Random/IB/DB/MB draw one pad word per Rng::NextBernoulliBits call,
+  /// which yields exactly the bits and Rng state of one
+  /// ctx.rng->NextBernoulli per pad bit, in pad order (the bits before
+  /// the input, then the bits after it); zero/one padding and a
+  /// full-width input take no draw. Learned padding keeps an allocating
+  /// path. On error `out` is left unchanged.
   Status PadInto(const BitVector& input, const PaddingContext& ctx,
                  BitVector* out) const;
 

@@ -172,24 +172,25 @@ Status PlacementEngine::PadForModelInto(const BitVector& value,
       seen_bits_ ? static_cast<double>(seen_ones_) /
                        static_cast<double>(seen_bits_)
                  : 0.5;
-  // Memory-based ratio: density of the whole managed region's cells.
+  ctx.memory_ones_ratio = MemoryOnesRatio();
+  ctx.lstm = pad_lstm_;
+  ctx.rng = &pad_rng_;
+  return padder_->PadInto(value, ctx, out);
+}
+
+double PlacementEngine::MemoryOnesRatio() {
   uint64_t mem_ones = 0;
   uint64_t mem_bits = 0;
   // Sample every stride-th segment (up to 127 of them) to keep the
   // estimate cheap.
   size_t stride = std::max<size_t>(1, config_.num_segments / 64);
   for (size_t i = 0; i < config_.num_segments; i += stride) {
-    ctrl_->PeekInto(config_.first_segment + i, &peek_scratch_);
-    mem_ones += peek_scratch_.Popcount();
-    mem_bits += peek_scratch_.size();
+    mem_ones += ctrl_->PeekOnes(config_.first_segment + i, &peek_scratch_);
+    mem_bits += ctrl_->segment_bits();
   }
-  ctx.memory_ones_ratio =
-      mem_bits ? static_cast<double>(mem_ones) /
-                     static_cast<double>(mem_bits)
-               : 0.5;
-  ctx.lstm = pad_lstm_;
-  ctx.rng = &pad_rng_;
-  return padder_->PadInto(value, ctx, out);
+  return mem_bits ? static_cast<double>(mem_ones) /
+                        static_cast<double>(mem_bits)
+                  : 0.5;
 }
 
 void PlacementEngine::ChargeCpu(double flops) {

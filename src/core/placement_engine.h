@@ -232,6 +232,13 @@ class PlacementEngine : public index::ValuePlacer {
   /// segment, as for Place.
   StatusOr<size_t> PredictClusterFor(const BitVector& value);
 
+  /// Memory-based padding's 1-ratio (§4.1.2): the fraction of set bits
+  /// in the decoded content of every stride-th managed segment (up to
+  /// 127 of them), stride num_segments / 64; 0.5 for an empty region.
+  /// Reads MemoryController::PeekOnes, so under a verbatim scheme it
+  /// costs one count per sampled segment.
+  double MemoryOnesRatio();
+
   /// Replay ring of recently written segment images (empty capacity
   /// unless config.incremental.enabled) — exposed for the determinism
   /// tests and diagnostics.
@@ -263,8 +270,9 @@ class PlacementEngine : public index::ValuePlacer {
   StatusOr<const BitVector*> ModelImage(const BitVector& value);
   /// The padding step of ModelImage: builds the PaddingContext
   /// (dataset/memory 1-ratios, LSTM, RNG) and pads `value` into `out`.
-  /// The memory 1-ratio samples segments through peek_scratch_, so with
-  /// a universal padder this allocates nothing once `out` is warm.
+  /// MemoryOnesRatio decodes into peek_scratch_ only under a
+  /// non-verbatim scheme, so with a universal padder this allocates
+  /// nothing once `out` is warm.
   Status PadForModelInto(const BitVector& value, BitVector* out);
   /// Stages one segment-width model image in the inference scratch,
   /// charges one prediction, and returns the serving model's cluster.
@@ -350,8 +358,8 @@ class PlacementEngine : public index::ValuePlacer {
   // (guarded by the engine's single-caller contract above).
   nvm::WriteResult write_scratch_;
   // Reused buffer for Release's memo-miss content peeks and the
-  // memory-based padding sample (same single-caller contract as the
-  // scratches above).
+  // memory-based padding sample's decodes under a non-verbatim scheme
+  // (same single-caller contract as the scratches above).
   BitVector peek_scratch_;
   // Model-width image of a narrow Place (ModelImage), and the
   // merged segment image of a narrow write (MergeWriteInto): both reuse

@@ -67,6 +67,16 @@ class MemoryController {
     scheme_->DecodeInto(pa, device_->PeekSegment(pa), out);
   }
 
+  /// Ones in `logical`'s decoded content: the device's kept count when
+  /// the scheme stores verbatim, else a decode into `scratch` (capacity
+  /// reused) and its popcount.
+  size_t PeekOnes(size_t logical, BitVector* scratch) const {
+    size_t pa = Physical(logical);
+    if (scheme_->StoresVerbatim()) return device_->SegmentOnes(pa);
+    scheme_->DecodeInto(pa, device_->PeekSegment(pa), scratch);
+    return scratch->Popcount();
+  }
+
   /// Logical write through the scheme; advances wear leveling (scheme
   /// aux state migrates with the moved cells). A write whose read-back
   /// verify still fails after retries and spare-cell repair quarantines

@@ -30,6 +30,7 @@ NvmDevice::NvmDevice(const DeviceConfig& config, EnergyMeter* meter)
     : config_(config),
       segments_(config.num_segments, BitVector(config.segment_bits)),
       seg_writes_(config.num_segments, 0),
+      seg_ones_(config.num_segments, 0),
       lanes_(new StatsLane[1]),
       model_(config.pcm),
       meter_(meter != nullptr ? meter : &own_meter_) {
@@ -132,6 +133,7 @@ void NvmDevice::CommitStored(size_t seg, const BitVector& stored,
     // the dispatched diff kernel produces both in one vectorized pass.
     DiffCounts d = BitVector::DiffStats(cells, stored);
     cells = stored;
+    seg_ones_[seg] += static_cast<uint32_t>(d.sets - d.resets);
     *set_bits = d.sets;
     *reset_bits = d.resets;
     return;
@@ -162,6 +164,7 @@ void NvmDevice::CommitStored(size_t seg, const BitVector& stored,
     }
   }
   cells = stored;
+  seg_ones_[seg] += static_cast<uint32_t>(sets - resets);
   *set_bits = sets;
   *reset_bits = resets;
 }
@@ -270,6 +273,7 @@ void NvmDevice::SeedSegment(size_t seg, const BitVector& content) {
            "seed size %zu != segment bits %zu", content.size(),
            config_.segment_bits);
   segments_[seg] = content;
+  seg_ones_[seg] = static_cast<uint32_t>(content.Popcount());
 }
 
 void NvmDevice::MigrateSegment(size_t src, size_t dst) {
@@ -303,7 +307,13 @@ void NvmDevice::MigrateSegment(size_t src, size_t dst) {
 void NvmDevice::FlipCellRaw(size_t seg, size_t bit) {
   E2_CHECK(seg < segments_.size(), "segment %zu out of range", seg);
   E2_CHECK(bit < config_.segment_bits, "bit %zu out of range", bit);
-  segments_[seg].Set(bit, !segments_[seg].Get(bit));
+  if (segments_[seg].Get(bit)) {
+    segments_[seg].Set(bit, false);
+    --seg_ones_[seg];
+  } else {
+    segments_[seg].Set(bit, true);
+    ++seg_ones_[seg];
+  }
 }
 
 void NvmDevice::ResetStats() {

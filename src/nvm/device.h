@@ -123,6 +123,10 @@ class NvmDevice {
     return segments_[seg];
   }
 
+  /// Number of set cells in segment `seg`: PeekSegment(seg).Popcount(),
+  /// kept current by every cell change instead of recounted.
+  uint32_t SegmentOnes(size_t seg) const { return seg_ones_[seg]; }
+
   /// Writes `data` to segment `seg` through `scheme`, updating storage,
   /// flip counters, per-bit wear, and charging energy/latency.
   /// `data.size()` must equal segment_bits().
@@ -199,7 +203,8 @@ class NvmDevice {
 
  private:
   /// Applies `stored` to the segment cells, counting transitions and wear
-  /// (and feeding wear-driven sticking to the injector, if any).
+  /// (and feeding wear-driven sticking to the injector, if any). The one
+  /// place a program changes cells, so it also moves the ones count.
   void CommitStored(size_t seg, const BitVector& stored,
                     size_t* set_bits, size_t* reset_bits);
 
@@ -237,6 +242,7 @@ class NvmDevice {
   DeviceConfig config_;
   std::vector<BitVector> segments_;
   std::vector<uint64_t> seg_writes_;
+  std::vector<uint32_t> seg_ones_;  // Set cells per segment.
   std::vector<uint32_t> bit_wear_;  // Flattened [seg * segment_bits + bit].
   size_t num_lanes_ = 1;
   size_t lane_segments_ = 0;  // 0 = everything maps to lane 0.

@@ -80,6 +80,11 @@ class WriteScheme {
     *out = Decode(segment_id, stored);
   }
 
+  /// True when the stored cells are the logical value itself (Decode is
+  /// the identity), so a segment's logical ones count is its cells' ones
+  /// count and content statistics can skip the decode.
+  virtual bool StoresVerbatim() const { return false; }
+
   /// Auxiliary metadata cells the scheme consumes per segment of
   /// `segment_bits` data bits (flag/tag overhead, for capacity accounting).
   virtual size_t AuxBitsPerSegment(size_t segment_bits) const { return 0; }

@@ -18,6 +18,7 @@ namespace e2nvm::schemes {
 class NaiveWrite : public nvm::WriteScheme {
  public:
   std::string_view name() const override { return "Naive"; }
+  bool StoresVerbatim() const override { return true; }
   nvm::WriteResult Write(uint64_t segment_id, const BitVector& old,
                          const BitVector& data) override;
   void WriteInto(uint64_t segment_id, const BitVector& old,
@@ -38,6 +39,7 @@ class NaiveWrite : public nvm::WriteScheme {
 class Dcw : public nvm::WriteScheme {
  public:
   std::string_view name() const override { return "DCW"; }
+  bool StoresVerbatim() const override { return true; }
   nvm::WriteResult Write(uint64_t segment_id, const BitVector& old,
                          const BitVector& data) override;
   /// Allocation-free DCW encode: `out->stored` reuses its capacity, so

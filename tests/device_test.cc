@@ -186,6 +186,102 @@ TEST(DeviceTest, LifetimeConsumedUsesEndurance) {
   EXPECT_NEAR(dev.LifetimeConsumed(), 0.09, 0.02);
 }
 
+::testing::AssertionResult OnesMatchCells(const NvmDevice& dev) {
+  for (size_t s = 0; s < dev.num_segments(); ++s) {
+    if (dev.SegmentOnes(s) != dev.PeekSegment(s).Popcount()) {
+      return ::testing::AssertionFailure()
+             << "segment " << s << ": count " << dev.SegmentOnes(s)
+             << ", cells " << dev.PeekSegment(s).Popcount();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(DeviceTest, SegmentOnesTracksCells) {
+  Rng rng(17);
+  auto random_bits = [&](size_t n) {
+    BitVector v(n);
+    v.Randomize(rng);
+    return v;
+  };
+  schemes::Dcw dcw;
+  schemes::FlipNWrite fnw;
+
+  // Plain writes (the vectorized commit), then a non-verbatim scheme,
+  // and per-bit wear tracking (the bit-walk commit).
+  for (bool wear : {false, true}) {
+    SCOPED_TRACE(wear ? "track_bit_wear" : "plain");
+    NvmDevice dev(SmallConfig(8, 256, wear));
+    ASSERT_TRUE(OnesMatchCells(dev));
+    for (int i = 0; i < 64; ++i) {
+      WriteScheme& scheme = i % 3 == 2 ? static_cast<WriteScheme&>(fnw)
+                                       : static_cast<WriteScheme&>(dcw);
+      dev.WriteSegment(rng.NextBounded(8), random_bits(256), scheme);
+      ASSERT_TRUE(OnesMatchCells(dev)) << "write " << i;
+    }
+    fnw.Reset();
+  }
+
+  // Faults: torn writes healed by verify retries, cells sticking as
+  // they wear, spare repair until the budget runs out.
+  {
+    DeviceConfig c = SmallConfig(8, 256);
+    c.verify_writes = true;
+    c.max_write_retries = 3;
+    NvmDevice dev(c);
+    FaultConfig fc;
+    fc.torn_write_probability = 0.3;
+    fc.wear_onset_fraction = 0.0;
+    fc.stuck_on_program_probability = 0.002;
+    fc.spare_cells_per_segment = 4;
+    FaultInjector inj(fc);
+    dev.AttachFaultInjector(&inj);
+    inj.StickCell(2, 7, /*value=*/true);
+    for (int i = 0; i < 400; ++i) {
+      dev.WriteSegment(rng.NextBounded(8), random_bits(256), dcw);
+      ASSERT_TRUE(OnesMatchCells(dev)) << "write " << i;
+    }
+    EXPECT_GT(dev.stats().torn_writes, 0u);
+    EXPECT_GT(dev.stats().verify_retries, 0u);
+    EXPECT_GT(dev.stats().repaired_cells, 0u);
+    EXPECT_GT(dev.stats().verify_failures, 0u);
+    EXPECT_GT(inj.stats().stuck_cells, 0u);
+  }
+
+  // Start-Gap gap moves (MigrateSegment), onto stuck cells too.
+  {
+    const size_t n = 8;
+    NvmDevice dev(SmallConfig(n + 1, 256));
+    FaultConfig fc;
+    fc.initial_stuck_fraction = 0.01;
+    FaultInjector inj(fc);
+    dev.AttachFaultInjector(&inj);
+    MemoryController ctrl(&dev, &dcw, n, /*psi=*/2);
+    for (int i = 0; i < 100; ++i) {
+      ctrl.Write(rng.NextBounded(n), random_bits(256));
+      ASSERT_TRUE(OnesMatchCells(dev)) << "write " << i;
+    }
+    EXPECT_GT(ctrl.leveler()->moves(), 0u);
+    EXPECT_GT(inj.stats().stuck_cells, 0u);
+  }
+
+  // Raw bit rot and seeding.
+  {
+    NvmDevice dev(SmallConfig(4, 256));
+    for (size_t s = 0; s < 4; ++s) {
+      dev.SeedSegment(s, random_bits(256));
+      ASSERT_TRUE(OnesMatchCells(dev));
+    }
+    for (int i = 0; i < 200; ++i) {
+      dev.FlipCellRaw(rng.NextBounded(4), rng.NextBounded(256));
+      ASSERT_TRUE(OnesMatchCells(dev)) << "flip " << i;
+    }
+    dev.SeedSegment(1, BitVector(256));
+    ASSERT_TRUE(OnesMatchCells(dev));
+    EXPECT_EQ(dev.SegmentOnes(1), 0u);
+  }
+}
+
 TEST(EnergyModelTest, Arithmetic) {
   PcmParams p;
   p.set_energy_pj = 50;

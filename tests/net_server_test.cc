@@ -32,20 +32,27 @@ namespace {
 thread_local uint64_t t_alloc_count = 0;
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line: inlined into a caller, malloc and
+// free would meet operator delete and operator new there and trip GCC's
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++t_alloc_count;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   ++t_alloc_count;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace e2nvm::net {
 namespace {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/e2_model.h"
+#include "core/sharded_store.h"
 #include "index/value_placer.h"
 #include "schemes/schemes.h"
 #include "workload/datasets.h"
@@ -260,6 +261,113 @@ TEST(PlacementEngineTest, WiderThanSegmentRejected) {
   }
   EXPECT_EQ(rig.engine->stats().predict_flops, flops);
   EXPECT_TRUE(rig.engine->PredictClusterFor(BitVector(kBits)).ok());
+}
+
+/// The memory 1-ratio as computed before the device kept ones counts:
+/// decode every sampled segment and take its popcount.
+double DecodedOnesRatio(const nvm::MemoryController& ctrl, uint64_t first,
+                        size_t num_segments) {
+  BitVector peek;
+  uint64_t ones = 0;
+  uint64_t bits = 0;
+  const size_t stride = std::max<size_t>(1, num_segments / 64);
+  for (size_t i = 0; i < num_segments; i += stride) {
+    ctrl.PeekInto(first + i, &peek);
+    ones += peek.Popcount();
+    bits += peek.size();
+  }
+  return bits ? static_cast<double>(ones) / static_cast<double>(bits) : 0.5;
+}
+
+TEST(PlacementEngineTest, MemoryOnesRatioMatchesDecodedPopcount) {
+  // DCW and Naive store verbatim, so the ratio reads the device's ones
+  // counts; FNW stores some words inverted, so it must decode instead.
+  schemes::Dcw dcw;
+  schemes::NaiveWrite naive;
+  schemes::FlipNWrite fnw;
+  EXPECT_TRUE(dcw.StoresVerbatim());
+  EXPECT_TRUE(naive.StoresVerbatim());
+  EXPECT_FALSE(fnw.StoresVerbatim());
+  auto ds = ClusteredData(64);
+  for (nvm::WriteScheme* scheme :
+       {static_cast<nvm::WriteScheme*>(&dcw),
+        static_cast<nvm::WriteScheme*>(&naive),
+        static_cast<nvm::WriteScheme*>(&fnw)}) {
+    SCOPED_TRACE(scheme->name());
+    placement::RawKMeansClusterer clusterer(4);
+    nvm::DeviceConfig dc;
+    dc.num_segments = kSegments;
+    dc.segment_bits = kBits;
+    nvm::NvmDevice device(dc);
+    nvm::MemoryController ctrl(&device, scheme, kSegments, 0);
+    auto sized = workload::ResizeItems(ds, kBits);
+    for (size_t i = 0; i < kSegments; ++i) {
+      ctrl.Seed(i, sized.items[i % sized.items.size()]);
+    }
+    PlacementEngine::Config ec;
+    ec.first_segment = 0;
+    ec.num_segments = kSegments;
+    PlacementEngine engine(&ctrl, &clusterer, ec);
+    ASSERT_TRUE(engine.Bootstrap().ok());
+    EXPECT_EQ(engine.MemoryOnesRatio(),
+              DecodedOnesRatio(ctrl, 0, kSegments));
+    // Inverted items flip most cells of their slot: FNW answers with
+    // inverted words, so its cells' ones stop matching the content's.
+    for (size_t i = 0; i < 3 * kSegments; ++i) {
+      auto addr = engine.Place(sized.items[i % sized.items.size()].Inverted());
+      ASSERT_TRUE(addr.ok()) << i;
+      ASSERT_TRUE(engine.Release(*addr).ok()) << i;
+      ASSERT_EQ(engine.MemoryOnesRatio(),
+                DecodedOnesRatio(ctrl, 0, kSegments))
+          << i;
+    }
+    uint64_t cell_ones = 0;
+    for (size_t i = 0; i < kSegments; i += kSegments / 64) {
+      cell_ones += device.SegmentOnes(i);
+    }
+    const double cell_ratio = static_cast<double>(cell_ones) /
+                              static_cast<double>(64 * kBits);
+    if (scheme == &fnw) {
+      EXPECT_NE(engine.MemoryOnesRatio(), cell_ratio);
+    } else {
+      EXPECT_EQ(engine.MemoryOnesRatio(), cell_ratio);
+    }
+  }
+
+  // Shards of one device, after silent bit rot in sampled segments
+  // (every second one at 128 segments).
+  ShardedStoreConfig cfg;
+  cfg.num_shards = 2;
+  cfg.shard.num_segments = kSegments;
+  cfg.shard.segment_bits = kBits;
+  cfg.shard.model.k = 4;
+  cfg.shard.model.pretrain_epochs = 2;
+  cfg.shard.model.finetune_rounds = 1;
+  auto store_or = ShardedStore::Create(cfg);
+  ASSERT_TRUE(store_or.ok());
+  ShardedStore& store = **store_or;
+  store.Seed(ds);
+  ASSERT_TRUE(store.Bootstrap().ok());
+  for (uint64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(store.Put(i % 48, ds.items[i % ds.items.size()]).ok());
+  }
+  for (size_t s = 0; s < store.num_shards(); ++s) {
+    E2KvStore& shard = store.shard(s);
+    const double before = shard.engine().MemoryOnesRatio();
+    for (size_t k = 0; k < 8; ++k) {
+      // Set a clear cell, so the rot cannot cancel out in the ratio.
+      const BitVector& cells =
+          store.device().PeekSegment(shard.first_segment() + 2 * k);
+      size_t bit = 0;
+      while (cells.Get(bit)) ++bit;
+      store.InjectBitRot(s, 2 * k, bit);
+    }
+    const double after = shard.engine().MemoryOnesRatio();
+    EXPECT_NE(after, before) << "shard " << s;
+    EXPECT_EQ(after, DecodedOnesRatio(shard.controller(),
+                                      shard.first_segment(), kSegments))
+        << "shard " << s;
+  }
 }
 
 }  // namespace

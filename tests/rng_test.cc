@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -74,6 +75,46 @@ TEST(RngTest, BernoulliRate) {
   int hits = 0;
   for (int i = 0; i < 20000; ++i) hits += rng.NextBernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
+}
+
+TEST(RngTest, BernoulliBitsMatchNextBernoulli) {
+  const double ps[] = {0.0,
+                       -0.1,
+                       std::nan(""),
+                       4.9e-324,
+                       1e-17,
+                       0x1.0p-53,
+                       0.05,
+                       0.4471,
+                       0.5,
+                       1.0 - 0x1.0p-53,
+                       1.0,
+                       1.5};
+  for (double p : ps) {
+    SCOPED_TRACE(p);
+    const uint64_t t = Rng::BernoulliThreshold(p);
+    // The threshold argument at its edge: k * 2^-53 < p iff k < t for
+    // the integers around t (the random draws below rarely land there).
+    for (uint64_t k = t > 2 ? t - 2 : 0;
+         k < std::min(t + 2, uint64_t{1} << 53); ++k) {
+      EXPECT_EQ(static_cast<double>(k) * 0x1.0p-53 < p, k < t) << k;
+    }
+    Rng bits_rng(77);
+    Rng ref_rng(77);
+    for (size_t n = 0; n <= 64; ++n) {
+      uint64_t want = 0;
+      for (size_t i = 0; i < n; ++i) {
+        want |= uint64_t{ref_rng.NextBernoulli(p)} << i;
+      }
+      EXPECT_EQ(bits_rng.NextBernoulliBits(t, n), want) << "n=" << n;
+      EXPECT_EQ(bits_rng.NextU64(), ref_rng.NextU64()) << "n=" << n;
+    }
+  }
+  EXPECT_EQ(Rng::BernoulliThreshold(0x1.0p-53), 1u);
+  EXPECT_EQ(Rng::BernoulliThreshold(0.5), uint64_t{1} << 52);
+  EXPECT_EQ(Rng::BernoulliThreshold(1.0 - 0x1.0p-53),
+            (uint64_t{1} << 53) - 1);
+  EXPECT_EQ(Rng::BernoulliThreshold(1.5), uint64_t{1} << 53);
 }
 
 TEST(RngTest, ShufflePreservesMultiset) {
